@@ -298,6 +298,4 @@ McrResult mcr_howard(const Hsdf& h) {
   return result;
 }
 
-McrResult maximum_cycle_ratio(const Hsdf& h) { return mcr_howard(h); }
-
 }  // namespace procon::analysis

@@ -7,9 +7,13 @@
 // Node weights are folded onto outgoing edges so the problem becomes a
 // standard edge-weighted cycle-ratio maximisation.
 //
-// Two engines are provided:
+// Three engines are provided:
+//  * `mcr_howard` (howard.h) - Howard's policy iteration, the default: ~5x
+//    faster than the parametric search on this library's expansions and
+//    cross-validated against it on thousands of random graphs in the tests.
 //  * `mcr_binary_search` - Lawler's parametric search with Bellman-Ford
-//    positive-cycle detection. Robust for real-valued weights; O(VE log(1/eps)).
+//    positive-cycle detection. Robust for real-valued weights; O(VE log(1/eps));
+//    the reference implementation.
 //  * `mcr_enumerate` - exact simple-cycle enumeration (Johnson-style DFS),
 //    exponential, only for small graphs; used to cross-validate in tests.
 //
@@ -48,12 +52,6 @@ struct McrOptions {
 /// Exhaustive simple-cycle enumeration; throws std::invalid_argument if the
 /// graph has more than `max_nodes` nodes (guard against blow-up).
 [[nodiscard]] McrResult mcr_enumerate(const Hsdf& h, std::size_t max_nodes = 24);
-
-/// Default engine: Howard's policy iteration (see howard.h) - ~5x faster
-/// than the parametric search on this library's expansions and
-/// cross-validated against it on thousands of random graphs in the tests.
-/// mcr_binary_search remains the robust reference implementation.
-[[nodiscard]] McrResult maximum_cycle_ratio(const Hsdf& h);
 
 /// MCR plus the cycle achieving it. The critical cycle explains *why* a
 /// graph has its period: the actors on it form the performance bottleneck

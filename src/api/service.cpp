@@ -2,13 +2,23 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 
 #include "sdf/algorithms.h"
 
 namespace procon::api {
 
 namespace {
+
+// Fixed service tuning. Sessions run their queries on one thread each:
+// cross-query parallelism comes from the service pool, so sharding one
+// query would only oversubscribe it.
+constexpr std::size_t kSessionThreads = 1;
+constexpr std::size_t kTranspositionShards = 16;
+// Result reuse: every kEpochStride completed executions the epoch
+// advances, and a completed entry not hit for kResultEpochs epochs is
+// dropped from the ticket table.
+constexpr std::uint64_t kEpochStride = 64;
+constexpr std::uint64_t kResultEpochs = 4;
 
 /// Exact structural equality of two systems (the fingerprint tie-breaker):
 /// identical analysis inputs, hence identical results from a shared session.
@@ -72,13 +82,10 @@ struct ContentHash {
 }  // namespace
 
 AnalysisService::AnalysisService(const ServiceOptions& opts)
-    : result_cache_epochs_(opts.result_cache_epochs),
-      result_cache_stride_(std::max<std::size_t>(opts.result_cache_stride, 1)),
-      session_capacity_(std::max<std::size_t>(opts.session_capacity, 1)),
-      session_threads_(opts.session_threads),
+    : session_capacity_(std::max<std::size_t>(opts.session_capacity, 1)),
       table_(opts.transposition_capacity > 0
                  ? std::make_shared<analysis::TranspositionTable>(
-                       opts.transposition_capacity, opts.transposition_shards)
+                       opts.transposition_capacity, kTranspositionShards)
                  : nullptr),
       pool_(opts.threads) {}
 
@@ -165,8 +172,8 @@ AnalysisService::Session& AnalysisService::session_for(
 
     // Shared hit: any live session (being) built from a bitwise-identical
     // system serves this tenant (fingerprint first, exact equality as
-    // tie-breaker against the session's origin registration — constructing
-    // placeholders have no Workbench yet but always have an origin).
+    // tie-breaker against the session's origin registration — placeholders
+    // under construction have no Workbench yet but always have an origin).
     if (found == nullptr) {
       for (auto& s : sessions_) {
         if (s->fingerprint == reg.fingerprint &&
@@ -178,7 +185,7 @@ AnalysisService::Session& AnalysisService::session_for(
     }
 
     if (found != nullptr) {
-      if (!found->constructing) {
+      if (found->bench != nullptr) {
         found->last_used = ++clock_;
         reg.resolved_serial = found->serial;
         return *found;
@@ -190,20 +197,23 @@ AnalysisService::Session& AnalysisService::session_for(
       const std::uint64_t serial = found->serial;
       construct_cv_.wait(lock, [&] {
         Session* s = find_serial(serial);
-        return s == nullptr || !s->constructing;
+        return s == nullptr || s->bench != nullptr;
       });
       continue;
     }
 
     // Miss: evict idle least-recently-used sessions down to capacity.
-    // Busy, queued, pinned or constructing sessions are never evicted
+    // Busy, queued, sweep-awaited or unbuilt sessions are never evicted
     // (their addresses are live in workers/builders); if everything is
     // busy the store temporarily overflows and is trimmed by a later miss.
     while (sessions_.size() >= session_capacity_) {
       std::size_t victim = sessions_.size();
       for (std::size_t i = 0; i < sessions_.size(); ++i) {
         const Session& s = *sessions_[i];
-        if (s.busy || s.pins > 0 || s.constructing || !s.queue.empty()) continue;
+        if (s.busy || s.sweep_waiters > 0 || s.bench == nullptr ||
+            !s.queue.empty()) {
+          continue;
+        }
         if (victim == sessions_.size() ||
             s.last_used < sessions_[victim]->last_used) {
           victim = i;
@@ -217,7 +227,7 @@ AnalysisService::Session& AnalysisService::session_for(
       ++stats_.sessions_evicted;
     }
 
-    // Cold build, latched: publish a constructing placeholder, then build
+    // Cold build, latched: publish a Workbench-less placeholder, then build
     // the Workbench with the service lock RELEASED — hot tenants' submits
     // proceed concurrently instead of stalling behind a cold tenant's
     // session construction. Rebuilds after eviction are identical by
@@ -228,7 +238,6 @@ AnalysisService::Session& AnalysisService::session_for(
     placeholder->serial = serial;
     placeholder->fingerprint = reg.fingerprint;
     placeholder->origin = &reg.system;
-    placeholder->constructing = true;
     placeholder->last_used = ++clock_;
     sessions_.push_back(std::move(placeholder));
 
@@ -237,7 +246,7 @@ AnalysisService::Session& AnalysisService::session_for(
     try {
       bench = std::make_unique<Workbench>(
           reg.system,
-          WorkbenchOptions{.threads = session_threads_, .table = table_});
+          WorkbenchOptions{.threads = kSessionThreads, .table = table_});
     } catch (...) {
       lock.lock();
       Session* mine = find_serial(serial);
@@ -254,11 +263,10 @@ AnalysisService::Session& AnalysisService::session_for(
     }
     lock.lock();
 
-    // The placeholder cannot have been evicted (constructing sessions are
+    // The placeholder cannot have been evicted (unbuilt sessions are
     // skipped above), so the re-find always succeeds.
     Session* mine = find_serial(serial);
     mine->bench = std::move(bench);
-    mine->constructing = false;
     mine->last_used = ++clock_;
     reg.resolved_serial = serial;
     ++stats_.sessions_built;
@@ -425,37 +433,36 @@ QueryTicket AnalysisService::submit(SystemId id, QueryDesc desc) {
     Session& s = session_for(lock, id);
     ++stats_.submitted;
 
-    const std::string key = coalesce_key(s.serial, desc);
-    if (!key.empty()) {
-      const auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        // A pending or running twin exists: attach instead of re-running.
-        // (Cancelled entries are replaced — their work will never happen.)
-        std::lock_guard<std::mutex> slock(it->second->m);
-        if (it->second->status != TicketStatus::Cancelled) {
-          ++it->second->clients;
+    std::string key = coalesce_key(s.serial, desc);
+    Entry& entry = tickets_[key];
+    if (entry.state != nullptr) {
+      std::lock_guard<std::mutex> slock(entry.state->m);
+      switch (entry.state->status) {
+        case TicketStatus::Pending:
+        case TicketStatus::Running:
+          // A pending or running twin: attach instead of re-running.
+          ++entry.state->clients;
           ++stats_.coalesced;
-          state = it->second;
-        }
-      }
-      if (!state) {
-        // Coalescing-after-completion: a recently executed twin's result
-        // is still in the arena — alias its slot in an already-Done
-        // ticket. Bitwise-identical by the purity contract, zero copies.
-        const auto hit = results_.find(key);
-        if (hit != results_.end()) {
-          hit->second.epoch = result_epoch_;  // refresh: hot entries live on
-          state = std::make_shared<detail::TicketShared<QueryValue>>();
-          state->status = TicketStatus::Done;
-          state->value = hit->second.value;
+          state = entry.state;
+          break;
+        case TicketStatus::Done:
+          // A completed twin: its Done state is this ticket too —
+          // bitwise-identical by the purity contract, zero copies.
+          entry.epoch = result_epoch_;  // refresh: hot entries live on
           ++stats_.result_hits;
-        }
+          state = entry.state;
+          break;
+        case TicketStatus::Cancelled:
+        case TicketStatus::Failed:
+          // Abandoned work never happens (and the drainer erases Failed
+          // entries as they fail): a fresh job replaces it below.
+          break;
       }
     }
     if (!state) {
       state = std::make_shared<detail::TicketShared<QueryValue>>();
-      if (!key.empty()) inflight_[key] = state;
-      s.queue.push_back(Job{state, std::move(desc), key});
+      entry = Entry{state};
+      s.queue.push_back(Job{state, std::move(desc), std::move(key)});
       s.last_used = ++clock_;
       to_drain = schedule(s);
     }
@@ -495,11 +502,12 @@ void AnalysisService::drain_session(Session* s) {
     {
       std::lock_guard<std::mutex> slock(job.state->m);
       if (job.state->status == TicketStatus::Cancelled) {
-        // Every client withdrew before execution: drop the work.
+        // Every client withdrew before execution: drop the work, and the
+        // entry unless a fresh job has already replaced it.
         ++stats_.cancelled;
-        if (!job.key.empty()) {
-          const auto it = inflight_.find(job.key);
-          if (it != inflight_.end() && it->second == job.state) inflight_.erase(it);
+        const auto it = tickets_.find(job.key);
+        if (it != tickets_.end() && it->second.state == job.state) {
+          tickets_.erase(it);
         }
         continue;
       }
@@ -508,8 +516,8 @@ void AnalysisService::drain_session(Session* s) {
 
     // Execute without the service lock: other sessions proceed in
     // parallel; this session is protected by busy == true. The result
-    // lands directly in its shared arena slot — every consumer (coalesced
-    // tickets, share() holders, the result cache) aliases it, none copies.
+    // lands directly in its shared slot — every consumer (attached
+    // tickets, share() holders, later result hits) aliases it, none copies.
     lock.unlock();
     std::shared_ptr<QueryValue> value;
     std::exception_ptr error;
@@ -521,38 +529,28 @@ void AnalysisService::drain_session(Session* s) {
     lock.lock();
 
     ++stats_.executed;
-    if (!job.key.empty()) {
-      const auto it = inflight_.find(job.key);
-      if (it != inflight_.end() && it->second == job.state) inflight_.erase(it);
-    }
-    std::shared_ptr<const QueryValue> published = std::move(value);
-    if (!error && !job.key.empty()) store_result(job.key, published);
     {
       std::lock_guard<std::mutex> slock(job.state->m);
       job.state->status =
           error ? TicketStatus::Failed : TicketStatus::Done;
       job.state->error = error;
-      job.state->value = std::move(published);
+      job.state->value = std::move(value);
     }
     job.state->cv.notify_all();
-  }
-}
-
-void AnalysisService::store_result(const std::string& key,
-                                   std::shared_ptr<const QueryValue> value) {
-  if (result_cache_epochs_ == 0) return;
-  results_[key] = CachedResult{std::move(value), result_epoch_};
-  // Epoch-based reclamation: every stride executions the epoch advances
-  // and entries not hit for result_cache_epochs_ epochs are forgotten.
-  // Holders of the value (tickets, share() handles) are unaffected — the
-  // arena slot is a shared_ptr, reclamation only drops the cache's ref.
-  if (++epoch_executed_ >= result_cache_stride_) {
-    epoch_executed_ = 0;
-    ++result_epoch_;
-    if (result_epoch_ >= result_cache_epochs_) {
-      const std::uint64_t horizon = result_epoch_ - result_cache_epochs_;
-      for (auto it = results_.begin(); it != results_.end();) {
-        it = it->second.epoch <= horizon ? results_.erase(it) : std::next(it);
+    // A running entry is never replaced or reclaimed, so it is still ours.
+    if (error) {
+      tickets_.erase(job.key);  // failures are not reused: a repeat re-runs
+      continue;
+    }
+    tickets_.at(job.key).epoch = result_epoch_;
+    // Epoch-based reclamation. Holders of a dropped entry's state (tickets,
+    // share() handles) are unaffected: the table only forgets its ref.
+    if (++epoch_executed_ >= kEpochStride) {
+      epoch_executed_ = 0;
+      if (++result_epoch_ >= kResultEpochs) {
+        const std::uint64_t horizon = result_epoch_ - kResultEpochs;
+        std::erase_if(tickets_,
+                      [&](const auto& kv) { return kv.second.epoch <= horizon; });
       }
     }
   }
@@ -565,15 +563,14 @@ SweepSummary AnalysisService::sweep_use_cases(
   {
     std::unique_lock<std::mutex> lock(m_);
     s = &session_for(lock, id);
-    // Pin (no eviction while we wait) and signal the drainer to yield at
-    // its next query boundary — sweeps acquire the session after the
-    // currently-running ticket, ahead of queued ones, so a continuous
-    // submit stream cannot starve them. Queued tickets resume afterwards.
-    ++s->pins;
+    // Signal the drainer to yield at its next query boundary (and keep the
+    // session from eviction while we wait) — sweeps acquire the session
+    // after the currently-running ticket, ahead of queued ones, so a
+    // continuous submit stream cannot starve them. Queued tickets resume
+    // afterwards.
     ++s->sweep_waiters;
     idle_cv_.wait(lock, [&] { return !s->busy; });
     --s->sweep_waiters;
-    --s->pins;
     s->busy = true;  // exclusive: tickets queue up behind the sweep
     s->last_used = ++clock_;
   }

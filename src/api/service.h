@@ -22,10 +22,13 @@
 //     with wait()/try_get()/get()/cancel(). Queries on one session are
 //     serialised (the Workbench contract); queries on different sessions
 //     run concurrently on the pool workers.
-//   * identical in-flight queries COALESCE: a submit that matches a
+//   * one keyed ticket table: a submit whose coalescing key matches a
 //     pending or running query attaches to its ticket state instead of
-//     enqueueing a duplicate — thousands of clients asking the admission
-//     question of the moment cost one evaluation.
+//     enqueueing a duplicate (coalescing), and a submit whose key matches
+//     a recently completed query gets that query's Done state back (a
+//     result hit) — thousands of clients asking the admission question of
+//     the moment cost one evaluation. Failed and cancelled queries leave
+//     the table; completed ones are reclaimed once unhit for a few epochs.
 //   * sweep_use_cases(SystemId, ..., SweepSink&) streams per-use-case
 //     results to the caller as views into session-owned arenas
 //     (Workbench::sweep_use_cases streaming overload): caller-driven
@@ -121,10 +124,10 @@ namespace detail {
 
 /// \brief Shared completion state behind one (possibly coalesced) query.
 ///
-/// One instance per *executed* query; every coalesced Ticket holds a
-/// reference. The result itself is a shared arena slot
-/// (shared_ptr<const T>): the service's result cache, coalesced siblings
-/// and Ticket::share() callers all alias one immutable value instead of
+/// One instance per *executed* query; every coalesced Ticket and every
+/// later result hit holds a reference. The result itself is a shared slot
+/// (shared_ptr<const T>): the service's ticket table, attached tickets and
+/// Ticket::share() callers all alias one immutable value instead of
 /// deep-copying Reports per client. Internal — sized and locked by the
 /// service and the tickets.
 template <typename T>
@@ -133,7 +136,7 @@ struct TicketShared {
   std::condition_variable cv; ///< notified on any terminal transition
   TicketStatus status = TicketStatus::Pending;  ///< current lifecycle stage
   /// The result slot (non-null exactly when status == Done). Immutable
-  /// once published; aliased by the service's result cache.
+  /// once published.
   std::shared_ptr<const T> value;
   std::exception_ptr error;   ///< set when status == Failed
   std::size_t clients = 1;    ///< tickets attached (grows by coalescing)
@@ -285,10 +288,6 @@ struct ServiceOptions {
   /// *idle* session is evicted (rebuilt identically on next touch).
   /// Clamped to >= 1.
   std::size_t session_capacity = 8;
-  /// Worker count inside each session's own pool (sharded queries of one
-  /// ticket). Default 1: cross-query parallelism comes from the service
-  /// pool, so per-query sharding usually only adds oversubscription.
-  std::size_t session_threads = 1;
   /// Entry capacity of the service-wide analysis::TranspositionTable,
   /// shared by every session the service builds. Because Zobrist
   /// fingerprints are name-free, structurally identical tenants hit each
@@ -296,31 +295,17 @@ struct ServiceOptions {
   /// session starts warm. 0 disables the table entirely (sessions run
   /// table-free, bitwise identical results either way).
   std::size_t transposition_capacity = std::size_t{1} << 16;
-  /// Shard count of the shared table (rounded down to a power of two,
-  /// clamped to >= 1). More shards = less lock contention between sessions
-  /// executing on different pool workers.
-  std::size_t transposition_shards = 16;
-  /// Epochs a completed result stays in the service's result cache. A
-  /// submit whose coalescing key matches a cached result completes
-  /// immediately — same shared value slot, zero re-execution, zero copy
-  /// (bitwise-identical by the purity contract). 0 disables the cache.
-  std::size_t result_cache_epochs = 4;
-  /// Executed queries per reclamation epoch: every this-many executions
-  /// the epoch advances and entries older than result_cache_epochs are
-  /// dropped. Outstanding Ticket/share() holders keep their values alive
-  /// (shared_ptr); reclamation only forgets the cache's reference.
-  std::size_t result_cache_stride = 64;
 };
 
 /// \brief Service-level counters (monotonic since construction).
 struct ServiceStats {
   std::uint64_t submitted = 0;        ///< submit() calls accepted
-  std::uint64_t coalesced = 0;        ///< submits attached to in-flight queries
+  std::uint64_t coalesced = 0;        ///< submits attached to pending/running queries
   std::uint64_t executed = 0;         ///< queries actually run on a session
   std::uint64_t cancelled = 0;        ///< queries abandoned before execution
   std::uint64_t sessions_built = 0;   ///< Workbench constructions (cold + rebuilds)
   std::uint64_t sessions_evicted = 0; ///< sessions dropped by the LRU bound
-  std::uint64_t result_hits = 0;      ///< submits served from the result cache
+  std::uint64_t result_hits = 0;      ///< submits served by a completed query
 };
 
 /// \brief Asynchronous, multi-tenant analysis server over Workbench
@@ -335,7 +320,7 @@ struct ServiceStats {
 class AnalysisService {
  public:
   /// \brief Builds an empty service (no tenants, no sessions).
-  /// \param opts worker count, session capacity, per-session threads
+  /// \param opts worker count, session capacity, transposition table size
   explicit AnalysisService(const ServiceOptions& opts = {});
 
   /// \brief Blocks until every submitted query finished, then shuts the
@@ -377,12 +362,11 @@ class AnalysisService {
   ///
   /// Non-blocking (with background workers): the query is enqueued on the
   /// tenant's session, executed in submission order per session,
-  /// concurrently across sessions. An identical query already pending or
-  /// running on the same session structure coalesces — the returned ticket
-  /// shares its completion state (queries whose options embed
-  /// non-fingerprintable state, i.e. Simulate with stochastic exec_models,
-  /// never coalesce). Throws std::out_of_range for unknown ids; analysis
-  /// errors surface through the ticket as Failed.
+  /// concurrently across sessions. An identical query on the same session
+  /// structure that is pending, running or recently completed is reused —
+  /// the returned ticket shares its state (a completed one is returned
+  /// already Done). Throws std::out_of_range for unknown ids; analysis
+  /// errors surface through the ticket as Failed (and are not reused).
   /// \param id tenant handle
   /// \param desc the query (kind + options)
   /// \return ticket tracking the (possibly shared) query
@@ -442,47 +426,45 @@ class AnalysisService {
   struct Job {
     std::shared_ptr<detail::TicketShared<QueryValue>> state;
     QueryDesc desc;
-    std::string key;  // in-flight coalescing key; empty = not coalescable
+    std::string key;  // coalescing key: the job's entry in tickets_
   };
 
   struct Session {
     std::uint64_t serial = 0;    // unique forever (coalesce keys, hints)
     std::uint64_t fingerprint = 0;
-    std::unique_ptr<Workbench> bench;  // null while constructing
+    std::unique_ptr<Workbench> bench;  // null while the build is in flight
     // The registration's resident system this session is (being) built
     // from: the structural-equality anchor while bench is still null.
     // Stable — registrations_ is a deque that only grows.
     const platform::System* origin = nullptr;
-    bool constructing = false;   // placeholder: Workbench build in flight
     std::deque<Job> queue;       // submitted, not yet executed
     bool busy = false;           // a drainer or a streaming sweep holds it
-    std::size_t pins = 0;        // sweep acquirers waiting (blocks eviction)
-    std::size_t sweep_waiters = 0;  // drainers yield at the next boundary
+    // Sweeps waiting for the session: drainers yield at the next query
+    // boundary, and the session is not evicted meanwhile.
+    std::size_t sweep_waiters = 0;
     std::uint64_t last_used = 0; // LRU stamp
   };
 
-  /// One completed result kept for coalescing-after-completion, stamped
-  /// with the epoch of its last hit (epoch-based reclamation).
-  struct CachedResult {
-    std::shared_ptr<const QueryValue> value;
-    std::uint64_t epoch = 0;
+  /// The ticket table's value: the shared state of the query executing (or
+  /// executed) under one coalescing key, and the reclamation epoch of its
+  /// last hit — kInFlight until the query is Done, so reclamation never
+  /// drops a pending or running query.
+  struct Entry {
+    static constexpr std::uint64_t kInFlight = ~std::uint64_t{0};
+    std::shared_ptr<detail::TicketShared<QueryValue>> state;
+    std::uint64_t epoch = kInFlight;
   };
 
   /// Live session for registration `id`. The construction latch: a cold
-  /// build publishes a `constructing` placeholder, releases `lock`, builds
+  /// build publishes a placeholder (bench == null), releases `lock`, builds
   /// the Workbench, then relocks and fills the placeholder in — hot
   /// tenants' submits only ever wait for the map scan, never for a build.
   /// Concurrent resolvers of the same structure wait on construct_cv_ and
   /// re-find the session by serial. The pointer is stable while
-  /// busy/pinned/constructing.
+  /// busy, awaited by a sweep, or under construction.
   Session& session_for(std::unique_lock<std::mutex>& lock, SystemId id);
   /// The live session with serial `serial`, or nullptr (under the lock).
   [[nodiscard]] Session* find_serial(std::uint64_t serial) noexcept;
-  /// Publishes a completed result under `key` at the current epoch and
-  /// advances the reclamation epoch every result_cache_stride executions
-  /// (under the lock).
-  void store_result(const std::string& key,
-                    std::shared_ptr<const QueryValue> value);
   /// Claims `s` for a drainer if it has work and none holds it. Returns
   /// the session to post a drainer for (nullptr when none needed); the
   /// caller posts OUTSIDE the service lock — with no background workers
@@ -507,21 +489,15 @@ class AnalysisService {
   // stay put while later registrations grow the store.
   std::deque<Registration> registrations_;
   std::vector<std::unique_ptr<Session>> sessions_;
-  std::unordered_map<std::string, std::shared_ptr<detail::TicketShared<QueryValue>>>
-      inflight_;
-  // Completed-result arena: coalescing keys -> shared value slots, pruned
-  // by epoch (see ServiceOptions::result_cache_epochs).
-  std::unordered_map<std::string, CachedResult> results_;
+  // Coalescing key -> ticket of the query that runs or ran under it.
+  std::unordered_map<std::string, Entry> tickets_;
   std::uint64_t result_epoch_ = 0;      // advances per stride executions
   std::uint64_t epoch_executed_ = 0;    // executions in the current epoch
-  std::size_t result_cache_epochs_ = 4;
-  std::size_t result_cache_stride_ = 64;
   ServiceStats stats_;
   dse::RacerStats retired_racer_;  // racer counters of evicted sessions
   std::uint64_t clock_ = 0;          // LRU stamps
   std::uint64_t session_serial_ = 0; // unique session ids, never reused
   std::size_t session_capacity_ = 8;
-  std::size_t session_threads_ = 1;
   // One table for the whole service: every session shares it, so a tenant's
   // warm entries serve every structurally identical tenant. shared_ptr so
   // sessions (whose Workbench holds a reference) can outlive nothing —

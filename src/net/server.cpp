@@ -87,11 +87,18 @@ AnalysisServer::AnalysisServer(const ServerOptions& opts)
 AnalysisServer::~AnalysisServer() { stop(); }
 
 void AnalysisServer::stop() {
-  if (!stopping_.exchange(true)) {
+  // The pipe closes here, after the join, never in loop(): an awake loop
+  // may see stopping_ and exit before the poke lands, and a pipe it had
+  // closed would turn the poke into SIGPIPE or a write to a reused fd.
+  // Concurrent callers wait until the first one is done.
+  std::call_once(stop_once_, [this] {
+    stopping_.store(true);
     const char byte = 1;
     [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &byte, 1);
-  }
-  if (poll_thread_.joinable()) poll_thread_.join();
+    poll_thread_.join();
+    ::close(wake_rd_);
+    ::close(wake_wr_);
+  });
 }
 
 void AnalysisServer::loop() {
@@ -171,8 +178,6 @@ void AnalysisServer::loop() {
   }
   conns_.clear();
   ::close(listen_fd_);
-  ::close(wake_rd_);
-  ::close(wake_wr_);
 }
 
 void AnalysisServer::disconnect(const std::shared_ptr<Connection>& conn) {

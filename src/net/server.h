@@ -125,6 +125,7 @@ class AnalysisServer {
   int wake_wr_ = -1;   ///< self-pipe write end (stop() pokes it)
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
+  std::once_flag stop_once_;  ///< stop() pokes, joins and closes once
   std::mutex conns_m_;
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   std::thread poll_thread_;

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <csignal>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/service.h"
@@ -219,6 +222,35 @@ TEST(Cluster, ServerSurvivesGarbagePayloadAndServesNextClient) {
   const TenantId t = cluster.register_system(procon::testing::fig2_system());
   const api::QueryValue v = cluster.query(t, api::QueryDesc{});
   EXPECT_EQ(v.index(), 0u);
+}
+
+TEST(Cluster, StopWhileServingNeverPokesAClosedWakePipe) {
+  // stop() pokes the poll loop's wake pipe. A loop that is already awake
+  // can see the stop request and exit before the poke lands, so the pipe
+  // must still be open then: a closed read end raises SIGPIPE, which at its
+  // default action ends this test.
+  const auto previous = std::signal(SIGPIPE, SIG_DFL);
+  for (int round = 0; round < 100; ++round) {
+    AnalysisServer server{ServerOptions{
+        .completion_threads = 2, .service = api::ServiceOptions{.threads = 1}}};
+    ShardConnection conn(":" + std::to_string(server.port()));
+    std::atomic<bool> stopped{false};
+    std::thread client([&] {
+      // Keep the loop busy with round trips until the server goes away.
+      while (!stopped.load()) {
+        try {
+          (void)conn.roundtrip(FrameType::StatsRequest, {});
+        } catch (const std::exception&) {
+          break;
+        }
+      }
+    });
+    server.stop();
+    stopped.store(true);
+    client.join();
+    server.stop();  // idempotent
+  }
+  std::signal(SIGPIPE, previous);
 }
 
 }  // namespace

@@ -12,10 +12,14 @@
 //    (rebuilt sessions answer identically), and bitwise-identical
 //    registrations share one live session;
 //  * streaming sweeps: service-level sink sweeps match the Workbench
-//    vector sweep.
+//    vector sweep;
+//  * the ticket table: completed queries are reused by sharing their Done
+//    state, failed ones are not, fully cancelled ones are replaced, and
+//    completed entries unhit for four epochs are reclaimed.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -550,6 +554,131 @@ TEST(AnalysisService, ResultCacheServesRepeatsWithoutReExecution) {
   std::shared_ptr<const QueryValue> kept = repeat.share();
   EXPECT_EQ(&std::get<api::Report<std::vector<prob::AppEstimate>>>(*kept),
             &va);
+}
+
+TEST(AnalysisService, FailedQueriesAreNotReused) {
+  AnalysisService service(ServiceOptions{.threads = 1});
+  const SystemId id = service.register_system(random_system(65, 3));
+  QueryDesc q;
+  q.kind = QueryKind::Throughput;
+  q.app = 99;  // out of range: every execution throws
+  const auto first = service.submit(id, q);
+  EXPECT_EQ(first.status(), TicketStatus::Failed);
+  const auto second = service.submit(id, q);
+  EXPECT_EQ(second.status(), TicketStatus::Failed);
+  EXPECT_THROW((void)second.get(), sdf::GraphError);
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.executed, 2u);
+  EXPECT_EQ(stats.result_hits, 0u);
+  EXPECT_EQ(stats.coalesced, 0u);
+}
+
+/// Sink that runs `body` at the first use-case and stops the sweep: code
+/// in `body` runs while the sweep holds the session, so queries submitted
+/// there stay Pending until the sweep returns.
+class HoldSessionSink : public api::SweepSink {
+ public:
+  explicit HoldSessionSink(std::function<void()> body) : body_(std::move(body)) {}
+  bool on_use_case(std::size_t, const api::UseCaseView&) override {
+    body_();
+    return false;
+  }
+
+ private:
+  std::function<void()> body_;
+};
+
+TEST(AnalysisService, FullyCancelledPendingQueryIsReplacedByAFreshExecution) {
+  const platform::System sys = random_system(67, 3);
+  AnalysisService service(ServiceOptions{.threads = 1});
+  const SystemId id = service.register_system(sys);
+  util::Rng rng(7);
+  const auto use_cases = gen::sample_use_cases(sys.app_count(), 1, rng);
+
+  QueryDesc q;
+  q.kind = QueryKind::Contention;
+  QueryTicket a;
+  QueryTicket b;
+  QueryTicket fresh;
+  HoldSessionSink sink([&] {
+    a = service.submit(id, q);
+    b = service.submit(id, q);  // coalesces onto a
+    EXPECT_FALSE(a.cancel());
+    EXPECT_TRUE(b.cancel());    // the last attached ticket abandons it
+    EXPECT_EQ(a.status(), TicketStatus::Cancelled);
+    fresh = service.submit(id, q);  // replaces the cancelled entry
+    EXPECT_EQ(fresh.status(), TicketStatus::Pending);
+  });
+  (void)service.sweep_use_cases(id, use_cases, {}, sink);
+  service.drain();
+
+  EXPECT_EQ(fresh.status(), TicketStatus::Done);
+  EXPECT_EQ(a.status(), TicketStatus::Cancelled);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.executed, 1u);
+  EXPECT_EQ(stats.result_hits, 0u);
+
+  // The fresh execution is the key's entry now: a repeat is a result hit.
+  const auto repeat = service.submit(id, q);
+  EXPECT_EQ(repeat.try_get(), fresh.try_get());
+  EXPECT_EQ(service.stats().result_hits, 1u);
+}
+
+TEST(AnalysisService, CompletedEntriesUnhitForFourEpochsAreReclaimed) {
+  AnalysisService service(ServiceOptions{.threads = 1});
+  const SystemId id = service.register_system(random_system(68, 3));
+  QueryDesc cold;
+  cold.kind = QueryKind::Contention;
+  QueryDesc hot;
+  hot.kind = QueryKind::Wcrt;
+  (void)service.submit(id, cold);
+  (void)service.submit(id, hot);
+
+  // Distinct keys (the seed is part of the key), each executed once. The
+  // epoch advances every 64 executions; `hot` is hit once in each epoch.
+  constexpr std::uint64_t kFillers = 4 * 64 + 10;
+  for (std::uint64_t i = 0; i < kFillers; ++i) {
+    QueryDesc filler;
+    filler.kind = QueryKind::Simulate;
+    filler.sim.horizon = 2'000;
+    filler.sim.sample_seed = i;
+    (void)service.submit(id, filler);
+    if (i % 64 == 0) {
+      const auto before = service.stats().result_hits;
+      (void)service.submit(id, hot);
+      EXPECT_EQ(service.stats().result_hits, before + 1) << "filler " << i;
+    }
+  }
+  auto stats = service.stats();
+  EXPECT_EQ(stats.executed, 2 + kFillers);
+  EXPECT_EQ(stats.result_hits, 5u);
+
+  (void)service.submit(id, cold);  // reclaimed: executes again
+  (void)service.submit(id, hot);   // hit every epoch: still served
+  stats = service.stats();
+  EXPECT_EQ(stats.executed, 3 + kFillers);
+  EXPECT_EQ(stats.result_hits, 6u);
+}
+
+TEST(AnalysisService, ResultHitSharesTheExecutedQuerysState) {
+  AnalysisService service(ServiceOptions{.threads = 1});
+  const SystemId id = service.register_system(random_system(69, 3));
+  QueryDesc q;
+  q.kind = QueryKind::Throughput;
+  const auto first = service.submit(id, q);
+  const auto hit = service.submit(id, q);
+  EXPECT_EQ(hit.status(), TicketStatus::Done);
+  ASSERT_NE(first.try_get(), nullptr);
+  EXPECT_EQ(hit.try_get(), first.try_get());
+  // One state behind both tickets (and the table): it is the value's only
+  // owner besides the handle taken here.
+  const std::shared_ptr<const QueryValue> kept = hit.share();
+  EXPECT_EQ(kept.use_count(), 2);
+  EXPECT_EQ(service.stats().result_hits, 1u);
 }
 
 }  // namespace

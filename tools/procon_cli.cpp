@@ -432,6 +432,7 @@ int cmd_serve(int argc, char** argv) {
   table.add_row({"oracle mismatches", std::to_string(mismatches)});
   table.add_row({"submitted", std::to_string(stats.submitted)});
   table.add_row({"coalesced (shared in-flight)", std::to_string(stats.coalesced)});
+  table.add_row({"result-cache hits", std::to_string(stats.result_hits)});
   table.add_row({"executed", std::to_string(stats.executed)});
   table.add_row({"sessions built", std::to_string(stats.sessions_built)});
   table.add_row({"sessions evicted", std::to_string(stats.sessions_evicted)});
