@@ -68,8 +68,8 @@ bool send_all_blocking(int fd, const std::uint8_t* data, std::size_t size) {
 
 ShardConnection::ShardConnection(const std::string& endpoint)
     : fd_(connect_endpoint(endpoint)) {
-  // Handshake synchronously before the reader thread exists: the socket is
-  // ours alone here, so a plain blocking read loop suffices.
+  // Handshake synchronously: the socket is ours alone here, so a plain
+  // blocking read loop suffices.
   std::vector<std::uint8_t> out;
   const auto hello = hello_payload();
   append_frame(out, FrameType::Hello, 0, hello);
@@ -77,49 +77,86 @@ ShardConnection::ShardConnection(const std::string& endpoint)
     ::close(fd_);
     throw NetError("ShardConnection: handshake send failed");
   }
-  std::vector<std::uint8_t> rx;
   std::optional<Frame> ack;
   std::uint8_t buf[4096];
-  while (!(ack = try_extract_frame(rx))) {
+  while (!(ack = try_extract_frame(rx_))) {
     const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
     if (n <= 0) {
       ::close(fd_);
       throw NetError("ShardConnection: handshake read failed");
     }
-    rx.insert(rx.end(), buf, buf + n);
+    rx_.insert(rx_.end(), buf, buf + n);
   }
   if (ack->type != FrameType::HelloAck) {
     ::close(fd_);
     throw NetError("ShardConnection: server rejected handshake");
   }
   check_hello(ack->payload);
-
-  reader_ = std::thread([this] { reader_loop(); });
 }
 
-ShardConnection::~ShardConnection() {
-  alive_.store(false);
-  ::shutdown(fd_, SHUT_RDWR);  // unblocks the reader's recv
-  if (reader_.joinable()) reader_.join();
-  ::close(fd_);
+ShardConnection::~ShardConnection() { ::close(fd_); }
+
+bool ShardConnection::read_and_file(std::unique_lock<std::mutex>& lock,
+                                    bool wait) {
+  std::uint8_t buf[16384];
+  bool filed = false;
+  for (;;) {
+    lock.unlock();
+    ssize_t n = 0;
+    do {
+      n = ::recv(fd_, buf, sizeof buf, wait ? 0 : MSG_DONTWAIT);
+    } while (n < 0 && errno == EINTR);
+    const bool drained =
+        n < 0 && !wait && (errno == EAGAIN || errno == EWOULDBLOCK);
+    lock.lock();
+    if (n <= 0) {
+      if (!drained) alive_ = false;  // orderly close (0) or hard error
+      return filed;
+    }
+    rx_.insert(rx_.end(), buf, buf + n);
+    try {
+      while (auto frame = try_extract_frame(rx_)) {
+        const auto it = pending_.find(frame->request_id);
+        // Unmatched request_ids are dropped: the awaiter already gave up.
+        if (it == pending_.end()) continue;
+        it->second = *std::move(frame);
+        filed = true;
+      }
+    } catch (const CodecError&) {
+      alive_ = false;  // corrupt framing: the stream is unrecoverable
+      return filed;
+    }
+    // A blocking read returns after one batch; a draining one goes on
+    // until a short read says the socket is empty.
+    if (wait || static_cast<std::size_t>(n) < sizeof buf) return filed;
+  }
 }
 
 std::uint64_t ShardConnection::begin(FrameType type,
                                      std::span<const std::uint8_t> payload) {
-  if (!alive_.load(std::memory_order_relaxed)) {
-    throw NetError("ShardConnection: connection is down");
-  }
-  const std::uint64_t rid = next_id_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t rid = 0;
   {
-    // Register BEFORE sending: the reply may arrive before we would get
-    // around to registering afterwards.
-    std::lock_guard<std::mutex> lock(pending_m_);
-    pending_.emplace(rid, std::make_shared<Pending>());
+    std::unique_lock<std::mutex> lock(pending_m_);
+    if (!alive_) throw NetError("ShardConnection: connection is down");
+    // Take in the replies already readable, so they never pile up in the
+    // socket while this thread runs ahead of its awaits. When an awaiter
+    // holds the turn, it is reading anyway.
+    if (!reading_) {
+      reading_ = true;
+      read_and_file(lock, /*wait=*/false);
+      reading_ = false;
+      filed_.notify_all();  // replies filed, or an awaiter wants the turn
+      if (!alive_) throw NetError("ShardConnection: connection is down");
+    }
+    // Register BEFORE sending: another thread may read the reply before
+    // this one would get around to registering afterwards.
+    rid = next_id_++;
+    pending_.emplace(rid, std::nullopt);
   }
   std::vector<std::uint8_t> out;
   out.reserve(13 + payload.size());
   append_frame(out, type, rid, payload);
-  bool ok;
+  bool ok = false;
   {
     std::lock_guard<std::mutex> lock(write_m_);
     ok = send_all_blocking(fd_, out.data(), out.size());
@@ -133,72 +170,41 @@ std::uint64_t ShardConnection::begin(FrameType type,
 }
 
 Frame ShardConnection::await(std::uint64_t request_id) {
-  std::shared_ptr<Pending> slot;
-  {
-    std::lock_guard<std::mutex> lock(pending_m_);
-    const auto it = pending_.find(request_id);
-    if (it == pending_.end()) {
-      throw NetError("ShardConnection: unknown or already-awaited request");
-    }
-    slot = it->second;
+  std::unique_lock<std::mutex> lock(pending_m_);
+  const auto it = pending_.find(request_id);
+  if (it == pending_.end()) {
+    throw NetError("ShardConnection: unknown or already-awaited request");
   }
-  std::unique_lock<std::mutex> lock(slot->m);
-  slot->cv.wait(lock, [&] { return slot->reply.has_value() || slot->dead; });
-  if (!slot->reply) {
+  // unordered_map nodes are stable: the slot stays put while other
+  // requests come and go, and only this thread erases it. (Iterators are
+  // not: an insert may rehash, so the slot is erased by key below.)
+  std::optional<Frame>& slot = it->second;
+  while (!slot && alive_) {
+    if (reading_) {
+      filed_.wait(lock);
+      continue;
+    }
+    // Take the turn and read until this reply arrives, filing the others'
+    // on the way; then hand the turn to whoever still waits.
+    reading_ = true;
+    while (!slot && alive_) {
+      if (read_and_file(lock, /*wait=*/true) && !slot) filed_.notify_all();
+    }
+    reading_ = false;
+    filed_.notify_all();
+  }
+  if (!slot) {
+    pending_.erase(request_id);
     throw NetError("ShardConnection: connection died awaiting a reply");
   }
-  Frame reply = *std::move(slot->reply);
-  lock.unlock();
-  {
-    std::lock_guard<std::mutex> plock(pending_m_);
-    pending_.erase(request_id);
-  }
+  Frame reply = *std::move(slot);
+  pending_.erase(request_id);
   return reply;
 }
 
 Frame ShardConnection::roundtrip(FrameType type,
                                  std::span<const std::uint8_t> payload) {
   return await(begin(type, payload));
-}
-
-void ShardConnection::reader_loop() {
-  std::vector<std::uint8_t> rx;
-  std::uint8_t buf[16384];
-  while (alive_.load(std::memory_order_relaxed)) {
-    const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    rx.insert(rx.end(), buf, buf + n);
-    try {
-      while (auto frame = try_extract_frame(rx)) {
-        std::shared_ptr<Pending> slot;
-        {
-          std::lock_guard<std::mutex> lock(pending_m_);
-          const auto it = pending_.find(frame->request_id);
-          if (it != pending_.end()) slot = it->second;
-        }
-        if (slot) {
-          std::lock_guard<std::mutex> lock(slot->m);
-          slot->reply = *std::move(frame);
-          slot->cv.notify_all();
-        }
-        // Unmatched request_ids are dropped: the awaiter already gave up.
-      }
-    } catch (const CodecError&) {
-      break;  // corrupt framing: the stream is unrecoverable
-    }
-  }
-  alive_.store(false);
-  fail_all_pending();
-}
-
-void ShardConnection::fail_all_pending() {
-  std::lock_guard<std::mutex> lock(pending_m_);
-  for (auto& [rid, slot] : pending_) {
-    std::lock_guard<std::mutex> slock(slot->m);
-    slot->dead = true;
-    slot->cv.notify_all();
-  }
 }
 
 // ---- ClusterClient --------------------------------------------------------

@@ -9,10 +9,16 @@
 // shard, where the resident service's fingerprint-keyed session LRU and
 // name-free transposition table turn their queries into shared work.
 //
-// Per shard the client keeps one connection with a reader thread that
-// demultiplexes responses by request_id, so queries PIPELINE: submit()
-// returns a PendingQuery immediately, any number may be in flight across
-// (and within) shards, and await() collects results in any order.
+// Per shard the client keeps one connection, and queries PIPELINE on it:
+// submit() returns a PendingQuery immediately, any number may be in flight
+// across (and within) shards, and await() collects results in any order.
+// There is no reader thread. The awaiting threads read the socket
+// themselves, leader/follower style: whichever awaiter holds the turn
+// reads, files every frame into its request's slot by request_id, and
+// passes the turn on once its own reply has arrived; the others sleep
+// until their slot fills. Each submit first takes in whatever replies are
+// already readable, so a client that runs far ahead of its awaits keeps
+// its receive buffer empty and cannot deadlock against the server.
 //
 // Membership change = migration: set_endpoints() rebuilds the ring, and
 // every tenant whose home shard changed is moved by the snapshot protocol
@@ -22,14 +28,12 @@
 // answers) identically; results are unchanged by any migration history.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -41,10 +45,10 @@
 
 namespace procon::net {
 
-/// \brief One TCP connection to a shard, with a demultiplexing reader
-/// thread. Thread-safe: any number of threads may begin()/await()
-/// concurrently. Performs the Hello/HelloAck version handshake at
-/// construction (throws NetError/CodecError on failure).
+/// \brief One TCP connection to a shard. Thread-safe: any number of
+/// threads may begin()/await() concurrently; awaiters take turns reading
+/// the socket (see the file comment). Performs the Hello/HelloAck version
+/// handshake at construction (throws NetError/CodecError on failure).
 class ShardConnection {
  public:
   /// \brief Connects to "host:port" (empty host = 127.0.0.1) and
@@ -56,6 +60,7 @@ class ShardConnection {
   ShardConnection& operator=(const ShardConnection&) = delete;  ///< unique
 
   /// \brief Sends one request frame; returns the request_id to await.
+  /// First files whatever replies are already readable, without waiting.
   /// Throws NetError when the connection is down.
   std::uint64_t begin(FrameType type, std::span<const std::uint8_t> payload);
 
@@ -69,23 +74,25 @@ class ShardConnection {
                                 std::span<const std::uint8_t> payload);
 
  private:
-  struct Pending {
-    std::mutex m;
-    std::condition_variable cv;
-    std::optional<Frame> reply;
-    bool dead = false;  ///< connection failed before the reply arrived
-  };
-
-  void reader_loop();
-  void fail_all_pending();
+  /// Reads the socket and files the complete frames into their slots: one
+  /// blocking read, or (wait == false) whatever is readable without
+  /// waiting. The caller holds the turn and `lock` on pending_m_, which is
+  /// released around each read. Returns whether any frame was filed;
+  /// clears alive_ when the stream is dead or corrupt.
+  bool read_and_file(std::unique_lock<std::mutex>& lock, bool wait);
 
   int fd_ = -1;
-  std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<bool> alive_{true};
   std::mutex write_m_;    ///< serialises frame writes
-  std::mutex pending_m_;  ///< guards pending_
-  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
-  std::thread reader_;
+  std::mutex pending_m_;  ///< guards every field below
+  std::uint64_t next_id_ = 1;  ///< request_id of the next begin()
+  /// Notified when a reply is filed, the turn is freed or the stream dies.
+  std::condition_variable filed_;
+  bool alive_ = true;     ///< cleared when the stream dies
+  bool reading_ = false;  ///< an awaiter (or begin()) holds the turn
+  /// Receive reassembly buffer; touched only by the turn holder.
+  std::vector<std::uint8_t> rx_;
+  /// One slot per request awaiting a reply; filled when it arrives.
+  std::unordered_map<std::uint64_t, std::optional<Frame>> pending_;
 };
 
 /// \brief Client-local handle of a tenant registered through a

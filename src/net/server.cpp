@@ -19,25 +19,44 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Writes all of `data` to a (possibly non-blocking) socket, waiting for
-/// POLLOUT on short writes. Returns false on any terminal error.
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
+/// Writes as much of `data` as the socket takes without waiting. Returns
+/// the bytes written, or -1 on a terminal error.
+ssize_t send_now(int fd, std::span<const std::uint8_t> data) {
   std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::send(fd, data + off, size - off, MSG_NOSIGNAL);
+  while (off < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd, POLLOUT, 0};
-      if (::poll(&pfd, 1, 5000) <= 0) return false;  // peer wedged: give up
-      continue;
-    }
     if (n < 0 && errno == EINTR) continue;
-    return false;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    return -1;
   }
-  return true;
+  return static_cast<ssize_t>(off);
+}
+
+/// Writes all of `data`, waiting for POLLOUT whenever the socket is full.
+/// Returns false on any terminal error, or when the peer takes nothing for
+/// 5 s.
+bool send_all(int fd, std::span<const std::uint8_t> data) {
+  for (;;) {
+    const ssize_t n = send_now(fd, data);
+    if (n < 0) return false;
+    data = data.subspan(static_cast<std::size_t>(n));
+    if (data.empty()) return true;
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) return false;  // peer wedged: give up
+  }
+}
+
+std::vector<std::uint8_t> frame_bytes(FrameType type, std::uint64_t request_id,
+                                      std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(13 + payload.size());
+  append_frame(out, type, request_id, payload);
+  return out;
 }
 
 }  // namespace
@@ -102,25 +121,68 @@ void AnalysisServer::stop() {
 }
 
 void AnalysisServer::loop() {
-  std::vector<pollfd> fds;
+  // fds[0] is the wake pipe, fds[1] the listening socket and fds[2 + i]
+  // the socket of conns[i]. Only this thread adds or drops connections,
+  // so both persist across wakes and change only when one comes or goes.
+  std::vector<pollfd> fds{{wake_rd_, POLLIN, 0}, {listen_fd_, POLLIN, 0}};
+  std::vector<std::shared_ptr<Connection>> conns;
+  std::uint8_t buf[16384];
   while (!stopping_.load(std::memory_order_relaxed)) {
-    fds.clear();
-    fds.push_back(pollfd{wake_rd_, POLLIN, 0});
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    std::vector<std::shared_ptr<Connection>> polled;
-    {
-      std::lock_guard<std::mutex> lock(conns_m_);
-      polled.reserve(conns_.size());
-      for (auto& [fd, conn] : conns_) {
-        polled.push_back(conn);
-        fds.push_back(pollfd{fd, POLLIN, 0});
-      }
-    }
     if (::poll(fds.data(), fds.size(), -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
     if ((fds[0].revents & POLLIN) != 0) break;  // stop() poked the pipe
+
+    bool dropped = false;
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      const auto& conn = conns[i];
+      pollfd& pfd = fds[i + 2];
+      if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      bool drop = (pfd.revents & (POLLHUP | POLLERR)) != 0 &&
+                  (pfd.revents & POLLIN) == 0;
+      if (!drop) {
+        try {
+          for (;;) {
+            const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
+            if (n < 0 && errno == EINTR) continue;
+            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+            if (n <= 0) {
+              drop = true;  // orderly close (0) or hard error
+              break;
+            }
+            // Frames are taken out per read, so the buffer never holds
+            // more than one read plus a partial frame.
+            conn->rx.insert(conn->rx.end(), buf, buf + n);
+            while (!drop) {
+              auto frame = try_extract_frame(conn->rx);
+              if (!frame) break;
+              drop = !handle_frame(conn, *std::move(frame));
+            }
+            // A short read drained the socket; poll is level-triggered, so
+            // anything arriving later wakes the next poll.
+            if (drop || static_cast<std::size_t>(n) < sizeof buf) break;
+          }
+        } catch (const CodecError&) {
+          drop = true;  // corrupt framing: the stream is unrecoverable
+        }
+      }
+      if (drop) {
+        close_stream(*conn);
+        pfd.fd = -1;  // poll ignores it until the compaction below
+        dropped = true;
+      }
+    }
+    if (dropped) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < conns.size(); ++i) {
+        if (fds[i + 2].fd < 0) continue;
+        fds[kept + 2] = fds[i + 2];
+        conns[kept++] = std::move(conns[i]);
+      }
+      conns.resize(kept);
+      fds.resize(kept + 2);
+    }
 
     if ((fds[1].revents & POLLIN) != 0) {
       for (;;) {
@@ -131,80 +193,88 @@ void AnalysisServer::loop() {
         // against delayed ACKs and wreck pipelining latency.
         const int nd = 1;
         ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &nd, sizeof nd);
-        std::lock_guard<std::mutex> lock(conns_m_);
-        conns_.emplace(cfd, std::make_shared<Connection>(cfd));
+        fds.push_back(pollfd{cfd, POLLIN, 0});
+        conns.push_back(std::make_shared<Connection>(cfd));
       }
-    }
-
-    for (std::size_t i = 2; i < fds.size(); ++i) {
-      const auto& conn = polled[i - 2];
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      bool drop = (fds[i].revents & (POLLHUP | POLLERR)) != 0 &&
-                  (fds[i].revents & POLLIN) == 0;
-      if (!drop) {
-        std::uint8_t buf[16384];
-        for (;;) {
-          const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
-          if (n > 0) {
-            conn->rx.insert(conn->rx.end(), buf, buf + n);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          drop = true;  // orderly close (0) or hard error
-          break;
-        }
-        try {
-          while (auto frame = try_extract_frame(conn->rx)) {
-            if (!handle_frame(conn, *std::move(frame))) {
-              drop = true;
-              break;
-            }
-          }
-        } catch (const CodecError&) {
-          drop = true;  // corrupt framing: the stream is unrecoverable
-        }
-      }
-      if (drop) disconnect(conn);
     }
   }
 
   // Shut every connection down: wakes blocked completion writers (their
   // sends fail fast); fds close when the last shared owner drops.
-  std::lock_guard<std::mutex> lock(conns_m_);
-  for (auto& [fd, conn] : conns_) {
-    conn->open.store(false);
-    ::shutdown(fd, SHUT_RDWR);
-  }
-  conns_.clear();
+  for (const auto& conn : conns) close_stream(*conn);
   ::close(listen_fd_);
 }
 
-void AnalysisServer::disconnect(const std::shared_ptr<Connection>& conn) {
-  conn->open.store(false);
+void AnalysisServer::close_stream(Connection& conn) {
+  conn.open.store(false);
   // shutdown (not close) here: completion tasks may still hold the fd for
   // an in-flight response write; closing now could race a reused fd.
-  ::shutdown(conn->fd, SHUT_RDWR);
-  std::lock_guard<std::mutex> lock(conns_m_);
-  conns_.erase(conn->fd);
+  ::shutdown(conn.fd, SHUT_RDWR);
+}
+
+void AnalysisServer::reply(const std::shared_ptr<Connection>& conn,
+                           FrameType type, std::uint64_t request_id,
+                           std::span<const std::uint8_t> payload) {
+  if (!conn->open.load(std::memory_order_relaxed)) return;
+  const std::vector<std::uint8_t> out = frame_bytes(type, request_id, payload);
+  std::unique_lock<std::mutex> write_lock(conn->write_m, std::try_to_lock);
+  std::lock_guard<std::mutex> lock(conn->backlog_m);
+  std::size_t sent = 0;
+  if (write_lock.owns_lock() && conn->backlog.empty()) {
+    const ssize_t n = send_now(conn->fd, out);
+    if (n < 0) {
+      close_stream(*conn);
+      return;
+    }
+    sent = static_cast<std::size_t>(n);
+    if (sent == out.size()) return;
+  }
+  conn->backlog.insert(conn->backlog.end(),
+                       out.begin() + static_cast<std::ptrdiff_t>(sent),
+                       out.end());
+  if (!conn->flush_posted) {
+    conn->flush_posted = true;
+    completion_.post([conn] {
+      std::lock_guard<std::mutex> flush_lock(conn->write_m);
+      write_backlog(*conn);
+    });
+  }
+}
+
+void AnalysisServer::reply_error(const std::shared_ptr<Connection>& conn,
+                                 std::uint64_t request_id,
+                                 const std::string& message) {
+  WireWriter w;
+  w.str(message);
+  reply(conn, FrameType::Error, request_id, w.view());
+}
+
+bool AnalysisServer::write_backlog(Connection& conn) {
+  std::vector<std::uint8_t> out;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(conn.backlog_m);
+      if (conn.backlog.empty() || !conn.open.load()) {
+        conn.backlog.clear();
+        conn.flush_posted = false;
+        return conn.open.load();
+      }
+      out.swap(conn.backlog);  // leaves the backlog empty
+    }
+    if (!send_all(conn.fd, out)) close_stream(conn);
+    out.clear();
+  }
 }
 
 void AnalysisServer::send_frame(Connection& conn, FrameType type,
                                 std::uint64_t request_id,
                                 std::span<const std::uint8_t> payload) {
   if (!conn.open.load(std::memory_order_relaxed)) return;
-  std::vector<std::uint8_t> out;
-  out.reserve(13 + payload.size());
-  append_frame(out, type, request_id, payload);
+  const std::vector<std::uint8_t> out = frame_bytes(type, request_id, payload);
   std::lock_guard<std::mutex> lock(conn.write_m);
-  if (!send_all(conn.fd, out.data(), out.size())) conn.open.store(false);
-}
-
-void AnalysisServer::send_error(Connection& conn, std::uint64_t request_id,
-                                const std::string& message) {
-  WireWriter w;
-  w.str(message);
-  send_frame(conn, FrameType::Error, request_id, w.view());
+  if (write_backlog(conn) && !send_all(conn.fd, out)) {
+    close_stream(conn);
+  }
 }
 
 bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
@@ -214,10 +284,10 @@ bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
       try {
         check_hello(frame.payload);
       } catch (const CodecError& e) {
-        send_error(*conn, frame.request_id, e.what());
+        reply_error(conn, frame.request_id, e.what());
         return false;  // incompatible peer: drop after the explanation
       }
-      send_frame(*conn, FrameType::HelloAck, frame.request_id, hello_payload());
+      reply(conn, FrameType::HelloAck, frame.request_id, hello_payload());
       return true;
     }
 
@@ -229,9 +299,9 @@ bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
         const api::SystemId id = service_.register_system(std::move(sys));
         WireWriter w;
         w.u32(id);
-        send_frame(*conn, FrameType::RegisterAck, frame.request_id, w.view());
+        reply(conn, FrameType::RegisterAck, frame.request_id, w.view());
       } catch (const std::exception& e) {
-        send_error(*conn, frame.request_id, e.what());
+        reply_error(conn, frame.request_id, e.what());
       }
       return true;
     }
@@ -244,8 +314,16 @@ bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
         api::QueryDesc desc = decode_query_desc(r);
         r.expect_end();
         ticket = service_.submit(id, std::move(desc));
+        // A result hit comes back Done: encoding it here costs less than
+        // waking a completion worker to do it.
+        if (const api::QueryValue* value = ticket.try_get()) {
+          WireWriter w;
+          encode_query_value(w, *value);
+          reply(conn, FrameType::QueryResult, frame.request_id, w.view());
+          return true;
+        }
       } catch (const std::exception& e) {
-        send_error(*conn, frame.request_id, e.what());
+        reply_error(conn, frame.request_id, e.what());
         return true;
       }
       // Completion runs on the dedicated pool: Ticket::share() blocks until
@@ -253,7 +331,7 @@ bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
       auto shared_ticket =
           std::make_shared<api::QueryTicket>(std::move(ticket));
       const std::uint64_t rid = frame.request_id;
-      completion_.post([this, conn, rid, shared_ticket] {
+      completion_.post([conn, rid, shared_ticket] {
         try {
           const std::shared_ptr<const api::QueryValue> value =
               shared_ticket->share();  // zero-copy: aliases the arena slot
@@ -261,7 +339,9 @@ bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
           encode_query_value(w, *value);
           send_frame(*conn, FrameType::QueryResult, rid, w.view());
         } catch (const std::exception& e) {
-          send_error(*conn, rid, e.what());
+          WireWriter w;
+          w.str(e.what());
+          send_frame(*conn, FrameType::Error, rid, w.view());
         }
       });
       return true;
@@ -271,7 +351,7 @@ bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
       WireStats stats{service_.stats(), service_.transposition_stats()};
       WireWriter w;
       encode_stats(w, stats);
-      send_frame(*conn, FrameType::StatsReply, frame.request_id, w.view());
+      reply(conn, FrameType::StatsReply, frame.request_id, w.view());
       return true;
     }
 
@@ -282,15 +362,15 @@ bool AnalysisServer::handle_frame(const std::shared_ptr<Connection>& conn,
         r.expect_end();
         WireWriter w;
         encode_system(w, service_.system(id));
-        send_frame(*conn, FrameType::SnapshotReply, frame.request_id, w.view());
+        reply(conn, FrameType::SnapshotReply, frame.request_id, w.view());
       } catch (const std::exception& e) {
-        send_error(*conn, frame.request_id, e.what());
+        reply_error(conn, frame.request_id, e.what());
       }
       return true;
     }
 
     default:
-      send_error(*conn, frame.request_id, "unexpected frame type");
+      reply_error(conn, frame.request_id, "unexpected frame type");
       return true;
   }
 }

@@ -8,14 +8,21 @@
 //     are reassembled per connection (try_extract_frame) and dispatched;
 //   * cheap frames (Hello, RegisterSystem, StatsRequest, SnapshotRequest)
 //     are answered inline on the poll thread;
-//   * Query frames submit to the AnalysisService and return immediately —
-//     a completion task on a separate util::ThreadPool blocks on
-//     Ticket::share() and writes the QueryResult frame when the service
-//     finishes, so one slow query never stalls the poll loop and responses
-//     pipeline out of order (request_id correlates them);
-//   * writes are serialised per connection by a mutex (poll thread and
-//     completion workers both send), with MSG_NOSIGNAL + a POLLOUT wait
-//     loop for short writes.
+//   * Query frames submit to the AnalysisService. A ticket that comes back
+//     already Done (a result hit) is encoded and answered inline by the
+//     poll thread too; an in-flight one goes to a completion task on a
+//     separate util::ThreadPool, which blocks on Ticket::share() and writes
+//     the QueryResult frame when the service finishes. So one slow query
+//     never stalls the poll loop, a hit never queues behind a slow query,
+//     and responses pipeline out of order (request_id correlates them);
+//   * the poll thread never waits on a socket: it takes a connection's
+//     write lock only with try_lock and writes only with MSG_DONTWAIT.
+//     What it cannot write at once (lock busy, EAGAIN, short write) joins
+//     the connection's backlog, which keeps frames whole and in order and
+//     which a completion task flushes. Completion tasks write with a
+//     blocking POLLOUT wait loop, backlog first. A write that fails shuts
+//     the socket down, so the poll loop drops the connection and the
+//     client's awaiters see it die instead of waiting forever.
 //
 // Determinism: the server adds no numeric processing — results travel as
 // the bitwise encoding of the service's QueryValue, so a routed query's
@@ -31,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "api/service.h"
@@ -58,8 +64,9 @@ struct ServerOptions {
   int backlog = 64;
   /// Workers of the completion pool (including the caller slot, like
   /// ServiceOptions::threads); clamped to >= 2 so completion tasks always
-  /// run on a background worker — they block on Ticket::share(), which
-  /// must never run inline on the poll thread.
+  /// run on a background worker — they block on Ticket::share() or on a
+  /// socket, which must never happen inline on the poll thread. Result
+  /// hits do not use the pool.
   std::size_t completion_threads = 4;
   /// The resident analysis service's configuration.
   api::ServiceOptions service;
@@ -105,19 +112,40 @@ class AnalysisServer {
     ~Connection();
     int fd = -1;
     std::vector<std::uint8_t> rx;   ///< receive reassembly buffer
-    std::mutex write_m;             ///< serialises send_frame callers
-    std::atomic<bool> open{true};   ///< cleared on disconnect
+    std::mutex write_m;             ///< held while writing to fd
+    std::atomic<bool> open{true};   ///< cleared on disconnect or failed write
+    std::mutex backlog_m;           ///< guards backlog and flush_posted
+    /// Bytes the poll thread could not write at once: whole frames, in
+    /// order (the first may be a partly written one). Written before any
+    /// later frame.
+    std::vector<std::uint8_t> backlog;
+    /// A flush task is posted and has not yet seen the backlog empty;
+    /// whenever the backlog holds bytes, this is true.
+    bool flush_posted = false;
   };
 
   void loop();
   /// Dispatches one reassembled frame; returns false to drop the
   /// connection (handshake violation, framing corruption).
   bool handle_frame(const std::shared_ptr<Connection>& conn, Frame frame);
-  void send_frame(Connection& conn, FrameType type, std::uint64_t request_id,
-                  std::span<const std::uint8_t> payload);
-  void send_error(Connection& conn, std::uint64_t request_id,
-                  const std::string& message);
-  void disconnect(const std::shared_ptr<Connection>& conn);
+  /// Poll-thread write: never waits on the lock or the socket; what does
+  /// not go out at once joins the backlog.
+  void reply(const std::shared_ptr<Connection>& conn, FrameType type,
+             std::uint64_t request_id, std::span<const std::uint8_t> payload);
+  void reply_error(const std::shared_ptr<Connection>& conn,
+                   std::uint64_t request_id, const std::string& message);
+  /// Completion-task write: blocks for the lock and the socket, writing
+  /// the backlog first.
+  static void send_frame(Connection& conn, FrameType type,
+                         std::uint64_t request_id,
+                         std::span<const std::uint8_t> payload);
+  /// Writes out the backlog until it is seen empty; the caller holds
+  /// conn.write_m. Returns whether the stream is still open.
+  static bool write_backlog(Connection& conn);
+  /// Ends all traffic on a connection: later writes are skipped, blocked
+  /// writers wake, and the poll loop and the peer see the stream end. The
+  /// fd closes with the last owner.
+  static void close_stream(Connection& conn);
 
   api::AnalysisService service_;
   int listen_fd_ = -1;
@@ -126,8 +154,6 @@ class AnalysisServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::once_flag stop_once_;  ///< stop() pokes, joins and closes once
-  std::mutex conns_m_;
-  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   std::thread poll_thread_;
   // Declared last: destroyed first, so completion tasks drain (finishing
   // their response writes) while connections and the service still live.

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <set>
 #include <string>
@@ -222,6 +223,163 @@ TEST(Cluster, ServerSurvivesGarbagePayloadAndServesNextClient) {
   const TenantId t = cluster.register_system(procon::testing::fig2_system());
   const api::QueryValue v = cluster.query(t, api::QueryDesc{});
   EXPECT_EQ(v.index(), 0u);
+}
+
+TEST(Cluster, ResultHitIsNotDelayedByInFlightQueries) {
+  // One completion worker: on a server that hands every reply to the
+  // completion pool, the hit's reply queues behind the two slow queries'
+  // completion tasks, which block until those queries finish.
+  AnalysisServer server{ServerOptions{
+      .completion_threads = 2, .service = api::ServiceOptions{.threads = 3}}};
+  const std::string endpoint = ":" + std::to_string(server.port());
+  ClusterClient cluster(ClusterOptions{.endpoints = {endpoint}});
+  const TenantId hot = cluster.register_system(procon::testing::fig2_system());
+  const TenantId slow_a =
+      cluster.register_system(one_app_system(procon::testing::fig2_graph_a()));
+  const TenantId slow_b =
+      cluster.register_system(one_app_system(procon::testing::fig2_graph_b()));
+
+  const api::QueryDesc warm{};
+  const std::vector<std::uint8_t> warm_bytes = payload_bytes(cluster.query(hot, warm));
+  ShardConnection probe(endpoint);
+  auto executed = [&] {
+    const Frame reply = probe.roundtrip(FrameType::StatsRequest, {});
+    WireReader r(reply.payload);
+    return decode_stats(r).service.executed;
+  };
+  ASSERT_EQ(executed(), 1u);
+
+  // Two long simulations, one per session, run on the service's two
+  // workers for far longer than a round trip takes.
+  api::QueryDesc slow;
+  slow.kind = api::QueryKind::Simulate;
+  slow.sim.horizon = 100'000'000;
+  const PendingQuery pa = cluster.submit(slow_a, slow);
+  const PendingQuery pb = cluster.submit(slow_b, slow);
+
+  const PendingQuery hit = cluster.submit(hot, warm);
+  EXPECT_EQ(payload_bytes(cluster.await(hit)), warm_bytes);
+  // StatsRequest is answered inline by the poll thread: `executed` counts
+  // a query once it has finished, so neither slow one had when the hit's
+  // reply came back.
+  EXPECT_EQ(executed(), 1u);
+
+  (void)cluster.await(pa);
+  (void)cluster.await(pb);
+  EXPECT_EQ(executed(), 3u);
+}
+
+TEST(Cluster, ConcurrentAwaitersOutOfOrderMatchOracleBitwise) {
+  // No reader thread: the awaiting threads read the shared connections
+  // themselves, taking turns, and file each reply into its own slot.
+  AnalysisServer s1{ServerOptions{}};
+  AnalysisServer s2{ServerOptions{}};
+  ClusterClient cluster(ClusterOptions{
+      .endpoints = {":" + std::to_string(s1.port()),
+                    ":" + std::to_string(s2.port())}});
+  api::AnalysisService oracle{api::ServiceOptions{}};
+
+  std::vector<platform::System> systems;
+  systems.push_back(procon::testing::fig2_system());
+  systems.push_back(one_app_system(procon::testing::fig2_graph_a()));
+  systems.push_back(one_app_system(procon::testing::fig2_graph_b()));
+  systems.push_back(one_app_system(procon::testing::two_actor_cycle(30, 40)));
+  std::vector<TenantId> routed;
+  std::vector<api::SystemId> direct;
+  for (const auto& sys : systems) {
+    routed.push_back(cluster.register_system(sys));
+    direct.push_back(oracle.register_system(sys));
+  }
+
+  // Each query has its own simulation seed, so most replies are computed,
+  // not result hits, and finish in no particular order.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 12;
+  auto desc_of = [](std::size_t q) {
+    api::QueryDesc d;
+    d.kind = static_cast<api::QueryKind>(q % 7);
+    d.sim.horizon = 5'000;
+    d.sim.sample_seed = q;
+    return d;
+  };
+  std::vector<std::vector<std::uint8_t>> expected(kThreads * kPerThread);
+  for (std::size_t q = 0; q < expected.size(); ++q) {
+    expected[q] = payload_bytes(
+        oracle.submit(direct[q % systems.size()], desc_of(q)).get());
+  }
+
+  std::vector<std::vector<std::uint8_t>> got(expected.size());
+  std::atomic<std::size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        std::vector<PendingQuery> pending;
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          const std::size_t q = t * kPerThread + i;
+          pending.push_back(cluster.submit(routed[q % systems.size()], desc_of(q)));
+        }
+        // Await out of submission order: odd positions backwards, then
+        // even ones, rotated by the thread index.
+        std::vector<std::size_t> order;
+        for (std::size_t i = kPerThread; i-- > 0;) {
+          if (i % 2 == 1) order.push_back(i);
+        }
+        for (std::size_t i = 0; i < kPerThread; i += 2) order.push_back(i);
+        std::rotate(order.begin(), order.begin() + (t % kPerThread), order.end());
+        for (const std::size_t i : order) {
+          got[t * kPerThread + i] = payload_bytes(cluster.await(pending[i]));
+        }
+      } catch (const std::exception&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0u);
+  for (std::size_t q = 0; q < expected.size(); ++q) {
+    EXPECT_EQ(got[q], expected[q]) << "query " << q;
+  }
+}
+
+TEST(Cluster, PipeliningPastSocketBuffersDoesNotDeadlock) {
+  // One thread submits query after query and awaits none until the end.
+  // The replies add up to far more than the loopback socket buffers hold,
+  // and the submitting goes on for longer than the server waits on a peer
+  // that takes nothing (5 s). Each submit takes in the replies already
+  // readable, so the server's writes keep draining; were they left in the
+  // socket, the server would find the connection wedged and drop it.
+  AnalysisServer server{ServerOptions{}};
+  ClusterClient cluster(ClusterOptions{
+      .endpoints = {":" + std::to_string(server.port())}});
+  api::AnalysisService oracle{api::ServiceOptions{}};
+  const TenantId tenant = cluster.register_system(procon::testing::fig2_system());
+  const api::SystemId direct = oracle.register_system(procon::testing::fig2_system());
+
+  // A traced simulation: its reply carries every service interval.
+  api::QueryDesc traced;
+  traced.kind = api::QueryKind::Simulate;
+  traced.sim.horizon = 100'000;
+  traced.sim.collect_trace = true;
+  const std::vector<std::uint8_t> expected =
+      payload_bytes(oracle.submit(direct, traced).get());
+  ASSERT_GE(expected.size(), std::size_t{64} << 10);
+  const std::size_t count = (std::size_t{16} << 20) / expected.size() + 1;
+
+  // A burst that fills the buffers at once, then more submits, spaced out
+  // over longer than the server's 5 s.
+  std::vector<PendingQuery> pending;
+  for (std::size_t i = 0; i < count; ++i) {
+    pending.push_back(cluster.submit(tenant, traced));
+  }
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(7);
+  while (std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    pending.push_back(cluster.submit(tenant, traced));
+  }
+  for (const PendingQuery& p : pending) {
+    EXPECT_EQ(payload_bytes(cluster.await(p)), expected);
+  }
 }
 
 TEST(Cluster, StopWhileServingNeverPokesAClosedWakePipe) {
