@@ -1,19 +1,17 @@
-// Interconnect tier: per-topology cost and accuracy of the routed pipeline,
-// plus the backward-compatibility identity check — the PR-over-PR tracker
-// for the "topology None is bitwise free" contract.
+// Interconnect tier: per-topology accuracy of the routed pipeline, plus
+// the backward-compatibility identity check — the PR-over-PR tracker for
+// the "topology None is bitwise free" contract.
 //
 // On the paper workload, sweeps {None, bus, ring, mesh (when the node count
-// is even)} through api::Workbench::sweep_topologies twice: cold (first
-// sight of every topology builds its routed SimEngine) and warm (every
-// engine comes from the fingerprint-keyed LRU cache). Reports per-topology
-// estimator slowdown vs the isolation baseline, mean simulated link
-// utilisation, and the sim-vs-estimator percent error.
+// is even)} through api::Workbench::sweep_topologies twice. Reports
+// per-topology estimator slowdown vs the isolation baseline, mean simulated
+// link utilisation, and the sim-vs-estimator percent error.
 //
 // The "identical" flag asserts two identities at once:
 //  1. the sweep's None entry is bitwise equal to a plain (topology-free)
 //     SimEngine run and estimator pass — attaching kind None costs nothing;
-//  2. the warm sweep reproduces the cold sweep bitwise — the per-topology
-//     engine cache is correctness-neutral.
+//  2. a repeat sweep on the same session reproduces the first bitwise — a
+//     sweep leaves no state behind that changes the next one.
 //
 // Emits BENCH_interconnect.json; CI smoke-runs it and the committed copy
 // feeds the README performance cookbook.
@@ -84,15 +82,8 @@ int main(int argc, char** argv) {
   api::TopologySweepOptions topts;
   topts.sim.horizon = horizon;
 
-  bench::Stopwatch cold_clock;
-  const auto cold = wb.sweep_topologies(topologies, topts);
-  const double cold_us =
-      1e6 * cold_clock.seconds() / static_cast<double>(topologies.size());
-
-  bench::Stopwatch warm_clock;
-  const auto warm = wb.sweep_topologies(topologies, topts);
-  const double warm_us =
-      1e6 * warm_clock.seconds() / static_cast<double>(topologies.size());
+  const auto first = wb.sweep_topologies(topologies, topts);
+  const auto repeat = wb.sweep_topologies(topologies, topts);
 
   // Identity 1: the None entry == the plain, topology-free pipeline.
   sim::SimEngine plain(sys);
@@ -100,24 +91,21 @@ int main(int argc, char** argv) {
   const sim::SimResult plain_sim = plain.run(topts.sim);
   const prob::ContentionEstimator est(topts.estimator);
   const auto plain_est = est.estimate(platform::SystemView(sys));
-  bool identical = same_sim(cold.value[0].sim, plain_sim) &&
-                   same_estimates(cold.value[0].estimates, plain_est);
+  bool identical = same_sim(first.value[0].sim, plain_sim) &&
+                   same_estimates(first.value[0].estimates, plain_est);
 
-  // Identity 2: warm sweep == cold sweep, entry by entry.
+  // Identity 2: repeat sweep == first sweep, entry by entry.
   for (std::size_t i = 0; i < topologies.size(); ++i) {
-    identical = identical && same_sim(cold.value[i].sim, warm.value[i].sim) &&
-                same_estimates(cold.value[i].estimates, warm.value[i].estimates);
+    identical = identical && same_sim(first.value[i].sim, repeat.value[i].sim) &&
+                same_estimates(first.value[i].estimates, repeat.value[i].estimates);
   }
 
   std::ostringstream json;
   json << "{\"bench\":\"interconnect\",\"seed\":" << opts.seed
        << ",\"apps\":" << sys.app_count() << ",\"nodes\":" << nodes
-       << ",\"horizon\":" << horizon
-       << ",\"sweep_cold_us\":" << cold_us << ",\"sweep_warm_us\":" << warm_us
-       << ",\"sweep_speedup\":" << (warm_us > 0.0 ? cold_us / warm_us : 0.0)
-       << ",\"topologies\":[";
+       << ",\"horizon\":" << horizon << ",\"topologies\":[";
   for (std::size_t i = 0; i < topologies.size(); ++i) {
-    const api::TopologyResult& r = cold.value[i];
+    const api::TopologyResult& r = first.value[i];
     double slowdown = 0.0;
     double err_pct = 0.0;
     for (std::size_t a = 0; a < r.estimates.size(); ++a) {
@@ -146,7 +134,7 @@ int main(int argc, char** argv) {
 
   if (!identical) {
     std::cerr << "FAIL: topology None diverged from the topology-free "
-                 "pipeline, or the warm sweep diverged from the cold one\n";
+                 "pipeline, or the repeat sweep diverged from the first one\n";
     return 1;
   }
   return 0;

@@ -6,7 +6,7 @@
 // path) and warm (cached structure, reused arenas):
 //
 //  1. simulation sweep: reset(uc) + run_view() over a fixed use-case list
-//     on one shared SimEngine (warm; second pass, rings cached) vs a
+//     on one shared SimEngine (warm; second pass, arenas grown) vs a
 //     SimEngine built from sys.restrict_to(uc) per query (cold). The warm
 //     pass is bracketed by the instrumented allocator — its allocation
 //     count per query must be ZERO and results bitwise identical.
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   const auto count = static_cast<double>(use_cases.size());
   bool identical = true;
 
-  // ---- 1. simulation sweep: cold rebuild vs warm ring-cached reset --------
+  // ---- 1. simulation sweep: cold rebuild vs warm reset on one engine ------
   std::vector<sim::SimResult> cold_results;
   cold_results.reserve(use_cases.size());
   bench::Stopwatch cold_clock;
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   const double sim_cold_us = 1e6 * cold_clock.seconds() / count;
 
   sim::SimEngine shared(sys);
-  for (const auto& uc : use_cases) {  // first pass: build ring cache + arenas
+  for (const auto& uc : use_cases) {  // first pass: grow the run arenas
     shared.reset(uc);
     (void)shared.run_view(sopts);
   }

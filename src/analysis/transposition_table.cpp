@@ -59,8 +59,11 @@ TranspositionTable::TranspositionTable(std::size_t capacity, std::size_t shards)
              (shard_count * kWays));
   const std::size_t buckets = ceil_pow2(want_buckets);
 
+  entries_.resize(shard_count * buckets * kWays);
   shards_ = std::vector<Shard>(shard_count);
-  for (Shard& s : shards_) s.entries.resize(buckets * kWays);
+  for (std::size_t i = 0; i < shard_count; ++i) {
+    shards_[i].entries = entries_.data() + i * buckets * kWays;
+  }
   shard_mask_ = shard_count - 1;
   shard_bits_ = 0;
   for (std::size_t c = shard_count; c > 1; c /= 2) ++shard_bits_;
@@ -68,7 +71,7 @@ TranspositionTable::TranspositionTable(std::size_t capacity, std::size_t shards)
 }
 
 std::size_t TranspositionTable::capacity() const noexcept {
-  return shards_.empty() ? 0 : shards_.size() * shards_.front().entries.size();
+  return entries_.size();
 }
 
 PROCON_WARM_PATH bool TranspositionTable::lookup(const TTKey& key,
@@ -76,7 +79,7 @@ PROCON_WARM_PATH bool TranspositionTable::lookup(const TTKey& key,
   PROCON_ASSERT_NO_ALLOC("TranspositionTable::lookup");
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mutex);
-  Entry* bucket = s.entries.data() + bucket_of(key);
+  Entry* bucket = s.entries + bucket_of(key);
   for (std::size_t w = 0; w < kWays; ++w) {
     Entry& e = bucket[w];
     if (e.stamp == 0) continue;
@@ -99,7 +102,7 @@ PROCON_WARM_PATH void TranspositionTable::store(const TTKey& key,
   PROCON_ASSERT_NO_ALLOC("TranspositionTable::store");
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mutex);
-  Entry* bucket = s.entries.data() + bucket_of(key);
+  Entry* bucket = s.entries + bucket_of(key);
   Entry* victim = nullptr;
   bool victim_live = true;
   for (std::size_t w = 0; w < kWays; ++w) {

@@ -183,8 +183,8 @@ class TranspositionTable {
 
   struct Shard {
     mutable std::mutex mutex;
-    std::vector<Entry> entries;  // bucket_count * kWays, fixed size
-    std::uint64_t clock = 0;     // LRU stamp source, monotonically increasing
+    Entry* entries = nullptr;  // bucket_count * kWays slots of entries_
+    std::uint64_t clock = 0;   // LRU stamp source, monotonically increasing
     ShardStats stats;
   };
 
@@ -195,6 +195,11 @@ class TranspositionTable {
     return ((key.hash >> shard_bits_) & bucket_mask_) * kWays;
   }
 
+  // Every shard's slots in one block. With glibc, freeing a block this
+  // large raises the allocator's trim threshold above its size, so the next
+  // table (a new session) reuses resident pages instead of faulting fresh
+  // ones in; sixteen per-shard blocks were handed back to the OS instead.
+  std::vector<Entry> entries_;
   std::vector<Shard> shards_;
   std::uint64_t shard_mask_ = 0;
   std::uint32_t shard_bits_ = 0;

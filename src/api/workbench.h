@@ -258,8 +258,8 @@ class Workbench {
   /// the engine's id remap tables — no restrict_to copy, no rebuild.
   [[nodiscard]] Report<sim::SimResult> simulate(const sim::SimOptions& opts = {});
   /// Simulation restricted to one use-case: a reset(uc) + run of the
-  /// session engine, whose per-use-case arbitration rings are cached after
-  /// first sight.
+  /// session engine (the reset rebuilds the use-case's arbitration rings
+  /// in place; nothing is flattened again).
   [[nodiscard]] Report<sim::SimResult> simulate(const platform::UseCase& uc,
                                                 const sim::SimOptions& opts = {});
 
@@ -282,8 +282,8 @@ class Workbench {
   /// (estimates and bounds come from persistent workspaces, simulations
   /// from the session SimEngine's run_view()). Numbers are bitwise
   /// identical to sweep_use_cases(use_cases, opts) on the same session.
-  /// After one warm pass over a use-case list (shapes and sim ring cache
-  /// seen), re-sweeping the same list performs zero heap allocations
+  /// After one warm pass over a use-case list (estimator shapes seen, sim
+  /// arenas grown), re-sweeping the same list performs zero heap allocations
   /// (asserted by tests/test_steady_state_alloc.cpp). The sink may stop the
   /// sweep early by returning false.
   SweepSummary sweep_use_cases(std::span<const platform::UseCase> use_cases,
@@ -295,10 +295,9 @@ class Workbench {
   /// are untouched — a sweep never perturbs later plain queries), runs the
   /// link-aware estimator through the session's ThroughputEngines (topology
   /// does not change application structure, so they are shared as-is), and,
-  /// when opts.with_sim, the routed simulation on a per-topology SimEngine
-  /// cache keyed by the retargeted system's fingerprint (LRU-bounded:
-  /// re-sweeping a seen topology list reuses flattened engines instead of
-  /// rebuilding). Candidates with TopologyKind::None reproduce the
+  /// when opts.with_sim, the routed simulation on a SimEngine built fresh
+  /// from the retargeted system per candidate (routes are baked at build
+  /// time). Candidates with TopologyKind::None reproduce the
   /// topology-free contention/simulate results bitwise. Throws
   /// std::invalid_argument when a candidate's node count does not match the
   /// platform.
@@ -377,10 +376,6 @@ class Workbench {
   sim::SimEngine& sim_engine();
   /// One SimEngine clone per pool worker for with_sim sweeps (lazy).
   std::vector<sim::SimEngine>& sim_worker_engines();
-  /// SimEngine for the current topology of `scratch` from the per-topology
-  /// cache (flattens on first sight of a structure, LRU-evicts beyond
-  /// kTopologySimCacheCapacity).
-  sim::SimEngine& topology_sim_engine(const platform::System& scratch);
 
   platform::System sys_;
   std::shared_ptr<analysis::TranspositionTable> table_;  // nullptr = off
@@ -406,20 +401,9 @@ class Workbench {
   sim::SimResultView sweep_sim_view_;                // per-use-case sim views
   dse::RacerStats racer_stats_;                      // merged across DSE queries
 
-  // Topology-sweep state: a lazily-built clone of the session system that
-  // sweep_topologies retargets per candidate, plus a fingerprint-keyed LRU
-  // of flattened SimEngines — one per distinct retargeted structure, so a
-  // re-swept topology list skips the rebuild (the session's 9th family of
-  // cached objects).
-  static constexpr std::size_t kTopologySimCacheCapacity = 8;
-  struct TopologySimEntry {
-    std::uint64_t fingerprint = 0;              // retargeted system fingerprint
-    std::uint64_t stamp = 0;                    // LRU clock value at last use
-    std::unique_ptr<sim::SimEngine> engine;     // flattened routed engine
-  };
+  // Topology-sweep scratch: a lazily-built clone of the session system that
+  // sweep_topologies retargets per candidate.
   std::vector<platform::System> topo_scratch_;  // lazy, 0 or 1 entries
-  std::vector<TopologySimEntry> topo_sim_cache_;
-  std::uint64_t topo_sim_clock_ = 0;
 };
 
 }  // namespace procon::api

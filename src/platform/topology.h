@@ -66,7 +66,7 @@ struct Link {
 /// per (kind, dimensions) — only widths and latencies are mutable — so two
 /// topologies compare equal iff their Zobrist features match, which is what
 /// keeps fingerprint-keyed caches (transposition table, cluster routing,
-/// per-topology engine caches) sound.
+/// the service session cache) sound.
 class Topology {
  public:
   /// The no-interconnect topology (kind None, zero links).

@@ -15,31 +15,23 @@
 //
 // reset(uc) restricts zero-copy: it activates the selected applications via
 // the flat-id remap tables (no graph or mapping copies, no revalidation)
-// and installs the active arbitration rings in use-case order, so event
+// and rebuilds the active arbitration rings in use-case order, so event
 // creation order — and therefore every tie-break — matches a fresh
 // simulation of the materialised restriction exactly. Results are bitwise
 // identical to sim::simulate on the equivalent (restricted) System; the
 // free function is now a thin shim over this class.
 //
-// Steady-state serving contract: every per-use-case structure is cached on
-// first sight. The arbitration rings of a use-case are built once (CSR,
-// keyed by the use-case) and only *installed* on later resets, the event
-// queue / ready lists / iteration-time and trace arenas are preallocated
-// and keep their capacity across resets, and run_view() returns the
-// results as views into engine-owned storage. The second and every later
-// reset(uc) + run_view() of a previously-seen use-case therefore performs
-// ZERO heap allocations (tests/test_steady_state_alloc.cpp asserts this
-// with an instrumented allocator; bench_steady_state tracks it per PR).
-// The value-returning run() stays as a deep-copying shim.
-//
-// The ring cache is bounded: a capacity set at construction (default
-// generous) caps the number of distinct use-cases whose rings stay
-// resident, with least-recently-reset eviction beyond it — a long-running
-// server sweeping unbounded distinct use-cases no longer grows without
-// bound. Eviction is correctness-neutral: resetting to an evicted
-// use-case rebuilds its rings bit-identically (the build is a pure
-// function of structure and use-case); only the zero-allocation guarantee
-// narrows to working sets that fit the capacity.
+// Steady-state serving contract: every structure a reset touches is sized
+// once at construction. The arbitration rings live in one CSR arena sized
+// for the full system and every reset(uc) rebuilds them in place, so a
+// reset to any valid use-case — seen before or not — performs ZERO heap
+// allocations. The event queue / ready lists / iteration-time and trace
+// arenas keep their capacity across resets, and run_view() returns the
+// results as views into engine-owned storage, so once a use-case's runs
+// have grown those arenas every further reset(uc) + run_view() is
+// allocation-free (tests/test_steady_state_alloc.cpp asserts both with an
+// instrumented allocator; bench_steady_state tracks it per PR). The
+// value-returning run() stays as a deep-copying shim.
 //
 // Interconnect: when the platform carries a topology (platform::Topology),
 // every channel whose producer and consumer sit on different nodes is
@@ -62,8 +54,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -91,24 +81,16 @@ namespace procon::sim {
 ///
 /// Thread-safety: a SimEngine is a mutable session object; concurrent calls
 /// on one engine are not allowed. Sharded callers clone one engine per
-/// worker (copying clones the cached structure and ring cache).
+/// worker (copying clones the cached structure).
 class SimEngine {
  public:
-  /// \brief Default bound on resident per-use-case ring sets — generous
-  /// enough that fixed sweep lists never evict, small enough that an
-  /// unbounded stream of distinct use-cases stays bounded.
-  static constexpr std::size_t kDefaultRingCacheCapacity = 256;
-
   /// \brief Flattens and validates `sys`.
   ///
   /// Throws sdf::GraphError on validate() failures. The system is copied
   /// into flat tables; the engine does not retain a reference. Arms a
   /// full-system run (no reset() needed before the first run()).
   /// \param sys the applications + platform + mapping to simulate
-  /// \param ring_cache_capacity maximum resident per-use-case ring sets
-  ///        (least-recently-reset eviction beyond it; clamped to >= 1)
-  explicit SimEngine(const platform::System& sys,
-                     std::size_t ring_cache_capacity = kDefaultRingCacheCapacity);
+  explicit SimEngine(const platform::System& sys);
 
   /// \brief Builds the engine over the applications a restriction view
   /// selects.
@@ -120,10 +102,7 @@ class SimEngine {
   /// application ids are the *view's* ids 0..k-1; reset(uc) indexes that
   /// space. The view (and its parent) are not retained.
   /// \param view zero-copy restriction selecting the applications to flatten
-  /// \param ring_cache_capacity maximum resident per-use-case ring sets
-  ///        (least-recently-reset eviction beyond it; clamped to >= 1)
-  explicit SimEngine(const platform::SystemView& view,
-                     std::size_t ring_cache_capacity = kDefaultRingCacheCapacity);
+  explicit SimEngine(const platform::SystemView& view);
 
   /// \brief Number of applications of the underlying system.
   /// \return the flattened application count (view ids 0..app_count()-1)
@@ -137,24 +116,6 @@ class SimEngine {
     return active_;
   }
 
-  /// \brief Number of distinct use-cases whose arbitration rings are cached.
-  ///
-  /// Grows by one the first time a use-case is reset to (including the
-  /// full-system use-case) up to ring_cache_capacity(); beyond that, the
-  /// least-recently-reset set is evicted first. A repeated sweep over a
-  /// fixed use-case list that fits the capacity stops growing it after the
-  /// first pass.
-  /// \return cached ring-set count (<= ring_cache_capacity())
-  [[nodiscard]] std::size_t ring_cache_size() const noexcept {
-    return ring_index_.size();
-  }
-
-  /// \brief Maximum resident ring sets before least-recently-reset eviction.
-  /// \return the construction-time capacity (>= 1)
-  [[nodiscard]] std::size_t ring_cache_capacity() const noexcept {
-    return ring_capacity_;
-  }
-
   /// \brief Arms a full-system run: every application active, all dynamic
   /// state cleared (tokens to initial marking, queues and metrics emptied).
   void reset();
@@ -163,11 +124,11 @@ class SimEngine {
   ///
   /// Results are indexed in use-case order, exactly like
   /// simulate(sys.restrict_to(uc), opts). The use-case's arbitration rings
-  /// are built and cached on first sight; later resets to the same use-case
-  /// only install the cached rings and clear dynamic state — zero heap
-  /// allocations once the use-case has been seen.
+  /// are rebuilt in the construction-sized arena and dynamic state is
+  /// cleared — zero heap allocations for any valid use-case.
   /// \param uc engine app ids, unique and in range — throws sdf::GraphError
-  ///        otherwise
+  ///        otherwise and leaves the engine disarmed (run() then throws
+  ///        until a successful reset)
   void reset(const platform::UseCase& uc);
 
   /// \brief Runs until the horizon and returns an owning deep copy of the
@@ -216,14 +177,12 @@ class SimEngine {
     }
   };
 
-  /// Arbitration rings of one use-case in CSR form: ring of node n is
-  /// flat[start[n] .. start[n+1]), members in use-case order then local id
-  /// — the exact push order a fresh restricted build would produce.
+  /// Arbitration rings of the active use-case in CSR form: ring of node n
+  /// is flat[start[n] .. start[n+1]), members in use-case order then local
+  /// id — the exact push order a fresh restricted build would produce.
   struct RingSet {
     std::vector<std::uint32_t> start;  // node -> offset (size nodes+1)
-    std::vector<std::uint32_t> flat;   // active flat actor ids
-    platform::UseCase key;             // owning use-case (for LRU eviction)
-    std::uint64_t last_used = 0;       // reset stamp (LRU order)
+    std::vector<std::uint32_t> flat;   // active flat actor ids (size actors)
   };
 
   /// One inter-node transfer in flight on the interconnect: the producing
@@ -236,11 +195,11 @@ class SimEngine {
 
   void build(const platform::SystemView& view);
   void bind_options(const SimOptions& opts);
-  /// Installs (building + caching on first sight) the rings of `uc`.
-  void install_rings(const platform::UseCase& uc);
+  /// Rebuilds rings_ in place for the active use-case.
+  void build_rings();
   [[nodiscard]] std::span<const std::uint32_t> ring(platform::NodeId node) const {
-    const RingSet& rs = ring_store_[rings_idx_];
-    return {rs.flat.data() + rs.start[node], rs.start[node + 1] - rs.start[node]};
+    return {rings_.flat.data() + rings_.start[node],
+            rings_.start[node + 1] - rings_.start[node]};
   }
 
   [[nodiscard]] sdf::Time draw_exec(std::uint32_t a);
@@ -290,23 +249,11 @@ class SimEngine {
   std::vector<platform::LinkId> route_links_;
   std::vector<sdf::Time> route_service_;
 
-  // --- ring cache (one RingSet per recently-seen use-case) -----------------
-  // Entries live in a deque (stable under growth) and are addressed by
-  // index, so the engine stays default-copyable: worker clones copy the
-  // cache and their index remains valid. Bounded by ring_capacity_ with
-  // least-recently-reset eviction; evicted slots go on the free list and
-  // are rebuilt in place (their vectors keep capacity), never erased from
-  // the deque.
-  std::deque<RingSet> ring_store_;
-  std::map<platform::UseCase, std::size_t> ring_index_;
-  std::vector<std::size_t> ring_free_;         // evicted ring_store_ slots
-  std::size_t ring_capacity_ = kDefaultRingCacheCapacity;
-  std::uint64_t ring_clock_ = 0;               // stamps installs (LRU order)
-  std::size_t rings_idx_ = 0;                  // active entry in ring_store_
-
   // --- per-reset state (active restriction) --------------------------------
   platform::UseCase active_;                   // active apps, use-case order
   std::vector<std::uint32_t> active_index_;    // parent app -> active slot or ~0
+  RingSet rings_;                              // active use-case's rings
+  std::vector<std::uint32_t> ring_cursor_;     // node -> fill cursor (build_rings)
   bool armed_ = false;
 
   // --- per-run option bindings ---------------------------------------------

@@ -4,7 +4,8 @@
 // SystemView == materialise equivalence on routed systems, a randomized
 // differential suite (generated graphs x {bus, ring, mesh} x link widths,
 // simulator vs estimator), and the Zobrist topology-feature property test
-// (incremental System fingerprints vs the from-scratch constructor oracle).
+// (incremental System fingerprints vs the from-scratch constructor oracle),
+// and Workbench::sweep_topologies against per-topology fresh pipelines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "api/workbench.h"
 #include "gen/graph_generator.h"
 #include "helpers.h"
 #include "platform/system.h"
@@ -91,6 +93,20 @@ void expect_same(const sim::SimResult& a, const sim::SimResult& b) {
   }
   EXPECT_EQ(a.node_utilisation, b.node_utilisation);
   EXPECT_EQ(a.link_utilisation, b.link_utilisation);
+}
+
+/// Bitwise estimate comparison (periods and per-actor waiting times).
+void expect_same(const std::vector<prob::AppEstimate>& a,
+                 const std::vector<prob::AppEstimate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].isolation_period, b[i].isolation_period);
+    EXPECT_EQ(a[i].estimated_period, b[i].estimated_period);
+    ASSERT_EQ(a[i].actors.size(), b[i].actors.size());
+    for (std::size_t k = 0; k < a[i].actors.size(); ++k) {
+      EXPECT_EQ(a[i].actors[k].waiting_time, b[i].actors[k].waiting_time);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -463,6 +479,63 @@ TEST(Interconnect, DistinctTopologiesNeverAliasTheFingerprint) {
                                       << " and " << j;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Workbench::sweep_topologies == one fresh pipeline per topology
+
+TEST(Interconnect, TopologySweepMatchesFreshPipelinesPerTopology) {
+  const System sys = random_system(31, 3, 6);
+  api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
+  api::TopologySweepOptions topts;
+  topts.sim.horizon = 40'000;
+  const prob::ContentionEstimator est(topts.estimator);
+
+  // Sweeps `topologies` twice into `swept_out`, checking every entry
+  // against a fresh estimator + SimEngine on a retargeted copy and the
+  // repeat sweep against the first.
+  const auto check = [&](const std::vector<Topology>& topologies,
+                         std::vector<api::TopologyResult>& swept_out) {
+    const auto swept = wb.sweep_topologies(topologies, topts);
+    ASSERT_EQ(swept->size(), topologies.size());
+    for (std::size_t i = 0; i < topologies.size(); ++i) {
+      SCOPED_TRACE(i);
+      System copy = sys;
+      copy.set_topology(topologies[i]);
+      expect_same((*swept)[i].estimates, est.estimate(SystemView(copy)));
+      sim::SimEngine fresh(copy);
+      expect_same((*swept)[i].sim, fresh.run(topts.sim));
+    }
+    // A repeat sweep on the same session reproduces the first bitwise.
+    const auto again = wb.sweep_topologies(topologies, topts);
+    ASSERT_EQ(again->size(), topologies.size());
+    for (std::size_t i = 0; i < topologies.size(); ++i) {
+      expect_same((*again)[i].estimates, (*swept)[i].estimates);
+      expect_same((*again)[i].sim, (*swept)[i].sim);
+    }
+    swept_out = *swept;
+  };
+
+  const std::vector<Topology> kinds{Topology{}, Topology::bus(6, 2, 1),
+                                    Topology::ring(6, 2, 1),
+                                    Topology::mesh(2, 3, 2, 1)};
+  std::vector<api::TopologyResult> swept;
+  check(kinds, swept);
+  ASSERT_EQ(swept.size(), kinds.size());
+  // The None entry equals the topology-free session results.
+  expect_same(swept[0].estimates, *wb.contention(topts.estimator));
+  expect_same(swept[0].sim, *wb.simulate(topts.sim));
+
+  // A longer list of distinct topologies (more than eight).
+  std::vector<Topology> many;
+  for (std::uint32_t w = 1; w <= 3; ++w) {
+    many.push_back(Topology::bus(6, w, 1));
+    many.push_back(Topology::ring(6, w, 1));
+    many.push_back(Topology::mesh(2, 3, w, 1));
+    many.push_back(Topology::mesh(3, 2, w, 2));
+  }
+  ASSERT_GT(many.size(), 8u);
+  check(many, swept);
 }
 
 }  // namespace

@@ -174,6 +174,13 @@ TEST(SimEngine, RejectsBadUseCases) {
   EXPECT_THROW(engine.reset({0, 7}), sdf::GraphError);    // out of range
   EXPECT_THROW((void)engine.run(SimOptions{.horizon = -1}),
                std::invalid_argument);
+  // A rejected reset disarms the engine: the previous armed run must not be
+  // replayed against the half-rewritten restriction.
+  engine.reset({0, 1});
+  EXPECT_THROW(engine.reset({1, 1}), sdf::GraphError);
+  EXPECT_THROW((void)engine.run(), sdf::GraphError);
+  engine.reset({1});
+  EXPECT_EQ(engine.run().apps.size(), 1u);
 }
 
 TEST(SimEngine, WorkbenchSimulateAndSweepUseTheEngine) {

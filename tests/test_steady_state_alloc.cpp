@@ -4,6 +4,9 @@
 //  * the second and every later reset(uc) + run_view() of a previously-seen
 //    use-case performs ZERO heap allocations, and its results stay bitwise
 //    identical to a cold rebuild of the materialised restriction;
+//  * a SimEngine reset(uc) to a use-case the engine has never seen performs
+//    ZERO heap allocations (its rings are rebuilt in the construction-sized
+//    arena) and the run it arms matches a fresh engine bitwise;
 //  * a verdict-only what_if_admit probe of an LRU-cached candidate into a
 //    reused WhatIfReport performs ZERO heap allocations and agrees with the
 //    value-returning probe;
@@ -16,7 +19,6 @@
 //  * a warm streaming sweep (estimates + bounds + sim views) of a
 //    previously-seen use-case list performs ZERO heap allocations end to
 //    end, with results identical to the vector-returning sweep;
-//  * the SimEngine ring-cache LRU bound evicts and rebuilds identically;
 //  * a warm dse::Racer race (tier-(a) pulls in the persistent workspaces,
 //    grow-only racer arenas) performs ZERO heap allocations.
 //
@@ -104,16 +106,13 @@ TEST(SteadyStateAlloc, WarmSimQueriesAreAllocationFree) {
   sim::SimOptions opts;
   opts.horizon = 20'000;
 
-  // First pass: builds each use-case's ring set and grows every arena.
+  // First pass: grows every run arena.
   for (const auto& uc : use_cases) {
     engine.reset(uc);
     (void)engine.run_view(opts);
   }
-  const std::size_t cached = engine.ring_cache_size();
-  EXPECT_GE(cached, use_cases.size());
 
-  // Second pass over the same list: every query must be allocation-free,
-  // and the ring cache must not grow.
+  // Second pass over the same list: every query must be allocation-free.
   for (const auto& uc : use_cases) {
     const util::contracts::ArmGuard armed;
     const std::uint64_t before = allocations();
@@ -124,7 +123,35 @@ TEST(SteadyStateAlloc, WarmSimQueriesAreAllocationFree) {
         << "warm reset+run_view of a seen use-case allocated";
     EXPECT_EQ(view.apps.size(), uc.size());
   }
-  EXPECT_EQ(engine.ring_cache_size(), cached);
+}
+
+TEST(SteadyStateAlloc, ResetToAnUnseenUseCaseIsAllocationFree) {
+  // The rings of every use-case are rebuilt in place in an arena sized at
+  // construction for the full system, so even the first reset to a
+  // use-case allocates nothing — and arms a run identical to a fresh engine
+  // under the ring-driven arbitrations too.
+  const platform::System sys = random_system(99, 5);
+  sim::SimEngine engine(sys);
+  const std::vector<platform::UseCase> ucs{{0, 1}, {1, 2, 3}, {4, 0}, {3}};
+  const sim::Arbitration arbs[] = {sim::Arbitration::Fcfs,
+                                   sim::Arbitration::RoundRobin,
+                                   sim::Arbitration::Tdma, sim::Arbitration::Fcfs};
+  for (std::size_t i = 0; i < ucs.size(); ++i) {
+    {
+      const util::contracts::ArmGuard armed;
+      const std::uint64_t before = allocations();
+      engine.reset(ucs[i]);
+      EXPECT_EQ(allocations() - before, 0u)
+          << "reset to a never-seen use-case allocated";
+    }
+    sim::SimOptions opts;
+    opts.horizon = 10'000;
+    opts.arbitration = arbs[i];
+    const sim::SimResult warm = engine.run_view(opts).materialise();
+    sim::SimEngine fresh(sys);
+    fresh.reset(ucs[i]);
+    expect_same(warm, fresh.run(opts));
+  }
 }
 
 TEST(SteadyStateAlloc, WarmRoutedSimQueriesAreAllocationFree) {
@@ -209,7 +236,8 @@ TEST(SteadyStateAlloc, WarmViewsMatchColdRebuildsBitwise) {
     opts.horizon = 15'000;
     opts.arbitration = arb;
     for (const auto& uc : use_cases) {
-      // Twice per use-case: the second pass exercises the cached rings.
+      // Twice per use-case: the second reset rebuilds the rings over the
+      // state the first run left behind.
       for (int rep = 0; rep < 2; ++rep) {
         warm.reset(uc);
         const sim::SimResult via_view = warm.run_view(opts).materialise();
@@ -403,48 +431,6 @@ TEST(SteadyStateAlloc, WarmStreamingSweepIsAllocationFree) {
     EXPECT_EQ(probe.bound_sums[i], bsum);
     EXPECT_EQ(probe.sim_events[i], (*vec)[i].sim.events_processed);
     EXPECT_EQ(probe.period_sums[i], warmup.period_sums[i]);
-  }
-}
-
-TEST(SteadyStateAlloc, RingCacheLruEvictsAndRebuildsIdentically) {
-  const platform::System sys = random_system(99, 5);
-  sim::SimOptions opts;
-  opts.horizon = 10'000;
-
-  // Three distinct use-cases against a capacity-2 cache: every pass evicts.
-  const std::vector<platform::UseCase> ucs{{0, 1}, {1, 2, 3}, {0, 4}};
-  sim::SimEngine bounded(sys, /*ring_cache_capacity=*/2);
-  sim::SimEngine unbounded(sys);
-  EXPECT_EQ(bounded.ring_cache_capacity(), 2u);
-
-  for (int round = 0; round < 3; ++round) {
-    for (const auto& uc : ucs) {
-      bounded.reset(uc);
-      const sim::SimResult lru = bounded.run_view(opts).materialise();
-      unbounded.reset(uc);
-      expect_same(lru, unbounded.run_view(opts).materialise());
-      EXPECT_LE(bounded.ring_cache_size(), 2u);
-    }
-  }
-  // The unbounded engine kept everything (3 use-cases + the full system
-  // armed at construction); the bounded one stayed within its capacity.
-  EXPECT_EQ(unbounded.ring_cache_size(), 4u);
-  EXPECT_EQ(bounded.ring_cache_size(), 2u);
-
-  // Within-capacity working sets keep the zero-allocation warm contract.
-  sim::SimEngine snug(sys, /*ring_cache_capacity=*/3);
-  const std::vector<platform::UseCase> pair{{0, 1}, {1, 2, 3}};
-  for (const auto& uc : pair) {
-    snug.reset(uc);
-    (void)snug.run_view(opts);
-  }
-  for (const auto& uc : pair) {
-    const util::contracts::ArmGuard armed;
-    const std::uint64_t before = allocations();
-    snug.reset(uc);
-    (void)snug.run_view(opts);
-    EXPECT_EQ(allocations() - before, 0u)
-        << "warm within-capacity reset+run_view allocated";
   }
 }
 
