@@ -70,18 +70,24 @@ AdmissionController::CandidateEntry& AdmissionController::candidate_for(
     }
   }
 
-  // First sight: validate, build the engine, derive the mapping-independent
-  // analysis state, then cache it (evicting the least recently used slot).
-  if (!sdf::is_consistent(app)) {
+  // First sight: build the engine, derive the mapping-independent analysis
+  // state, then cache it (evicting the least recently used slot). The
+  // engine build is the validation: it throws exactly on inconsistent
+  // graphs, and for consistent ones its zero-token-cycle verdict is
+  // sdf::is_deadlock_free's. Nothing is cached before every check passes.
+  std::shared_ptr<analysis::ThroughputEngine> engine;
+  try {
+    engine = std::make_shared<analysis::ThroughputEngine>(app);
+  } catch (const sdf::GraphError&) {
     throw sdf::GraphError("admission: inconsistent graph");
   }
-  if (!sdf::is_deadlock_free(app)) {
+  if (engine->structurally_deadlocked()) {
     throw sdf::GraphError("admission: graph deadlocks");
   }
   CandidateEntry entry;
   entry.fingerprint = fp;
   entry.graph = app;
-  entry.engine = std::make_shared<analysis::ThroughputEngine>(app);
+  entry.engine = std::move(engine);
   const auto iso = entry.engine->recompute();
   if (iso.deadlocked || iso.period <= 0.0) {
     throw sdf::GraphError("admission: no positive isolation period");

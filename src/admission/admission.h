@@ -17,7 +17,10 @@
 // engine, isolation period, per-actor loads) is held in a small LRU keyed
 // by graph structure, so repeated probes — and the request() that usually
 // follows a successful probe — of the same application are O(weights):
-// no validation re-run, no engine rebuild, no load re-derivation. A
+// no validation re-run, no engine rebuild, no load re-derivation. A miss is
+// one engine build plus one cold recompute (the isolation period): the
+// build's single structural pass over the graph also decides consistency
+// and deadlock freedom, so no separate validation pass runs. A
 // verdict-only probe (WhatIfOptions::with_estimates = false) of a cached
 // candidate into a reused WhatIfReport performs zero heap allocations when
 // the verdict is an admission (asserted by
@@ -267,8 +270,9 @@ class AdmissionController {
   };
 
   /// Cached (or freshly built and cached) analysis state of `app`.
-  /// Validates the graph on first sight; throws the same sdf::GraphErrors
-  /// request()/what_if_admit() documented. The reference is valid until the
+  /// Validates the graph on first sight through the engine build itself;
+  /// throws the same sdf::GraphErrors request()/what_if_admit() documented
+  /// and caches nothing when it throws. The reference is valid until the
   /// next candidate_for call (LRU eviction may reuse the slot).
   CandidateEntry& candidate_for(const sdf::Graph& app);
 

@@ -7,15 +7,12 @@ namespace procon::analysis {
 ThroughputEngine::ThroughputEngine(const sdf::Graph& g, const EngineOptions& opts) {
   actor_count_ = g.actor_count();
 
-  const sdf::Graph* closed = &g;
-  sdf::Graph closed_storage;
-  if (!opts.assume_closed) {
-    closed_storage = g.with_self_loops();
-    closed = &closed_storage;
-  }
-
+  // Self-loop closure: the closed graph's balance equations are g's (the
+  // 1-token, rate-1 self-loops balance trivially), so q and its checks run
+  // on g, and expand_closure_to_hsdf adds the loops' edges without copying
+  // the graph.
   if (opts.repetition != nullptr) {
-    if (opts.repetition->size() != closed->actor_count()) {
+    if (opts.repetition->size() != actor_count_) {
       throw sdf::GraphError("ThroughputEngine: repetition vector size mismatch");
     }
     // Enforce the documented contract: the supplied vector must actually
@@ -25,7 +22,7 @@ ThroughputEngine::ThroughputEngine(const sdf::Graph& g, const EngineOptions& opt
         throw sdf::GraphError("ThroughputEngine: repetition vector has zero entry");
       }
     }
-    for (const sdf::Channel& ch : closed->channels()) {
+    for (const sdf::Channel& ch : g.channels()) {
       if ((*opts.repetition)[ch.src] * ch.prod_rate !=
           (*opts.repetition)[ch.dst] * ch.cons_rate) {
         throw sdf::GraphError(
@@ -34,12 +31,13 @@ ThroughputEngine::ThroughputEngine(const sdf::Graph& g, const EngineOptions& opt
     }
     q_ = *opts.repetition;
   } else {
-    auto q = sdf::compute_repetition_vector(*closed);
+    auto q = sdf::compute_repetition_vector(g);
     if (!q) throw sdf::GraphError("ThroughputEngine: inconsistent graph");
     q_ = std::move(*q);
   }
 
-  const Hsdf h = expand_to_hsdf(*closed, q_);
+  const Hsdf h =
+      opts.assume_closed ? expand_to_hsdf(g, q_) : expand_closure_to_hsdf(g, q_);
   node_actor_.reserve(h.node_count());
   for (const HsdfNode& node : h.nodes) node_actor_.push_back(node.source_actor);
 

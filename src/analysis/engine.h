@@ -9,9 +9,16 @@
 // cycle/deadlock DFS, then cold-starts Howard's policy iteration.
 //
 // ThroughputEngine performs all of that exactly once at construction and
-// caches the result: the closed graph's repetition vector, the HSDF
-// topology in flat CSR form, and the structural verdicts (cycle existence,
-// zero-token deadlock). recompute(exec_times) then only rewrites node
+// caches the result: the repetition vector, the HSDF topology of the
+// self-loop closure in flat CSR form, and the structural verdicts (cycle
+// existence, zero-token deadlock). Construction is one structural pass: the
+// closure is expanded straight from the graph (expand_closure_to_hsdf), no
+// closed copy is built, and q is computed once. Those verdicts decide the
+// classical validity checks on their own: the constructor throws exactly
+// when the graph is inconsistent (sdf::is_consistent), and for a consistent
+// graph structurally_deadlocked() == !sdf::is_deadlock_free(g) — a consistent
+// graph deadlocks iff its HSDF has a zero-token cycle — so callers need no
+// separate validation pre-pass. recompute(exec_times) then only rewrites node
 // weights in place and re-runs Howard warm-started from the previous policy
 // and potentials, which converges in one or two improvement rounds under
 // the small perturbations these loops produce — an order of magnitude
@@ -37,11 +44,12 @@ namespace procon::analysis {
 /// facts about the graph.
 struct EngineOptions {
   /// The graph already has a self-loop on every actor (auto-concurrency
-  /// disabled); skip the closure copy. Callers that batch-create engines
-  /// over pre-closed graphs (e.g. the buffer explorer) set this.
+  /// disabled); expand it as is instead of adding the closure's edges.
+  /// Callers that batch-create engines over pre-closed graphs (e.g. the
+  /// buffer explorer) set this.
   bool assume_closed = false;
-  /// Known repetition vector of the (closed) graph; skips recomputation.
-  /// Must match the graph or construction throws.
+  /// Known repetition vector of the graph (the closure's is the same);
+  /// skips recomputation. Must match the graph or construction throws.
   const sdf::RepetitionVector* repetition = nullptr;
 };
 
@@ -59,8 +67,12 @@ struct EngineOptions {
 /// worker and reset() it per independent work item for determinism.
 class ThroughputEngine {
  public:
-  /// Builds all structure-dependent state. Throws sdf::GraphError on
-  /// inconsistent graphs (same contract as compute_period).
+  /// Builds all structure-dependent state in one pass over `g`: its
+  /// repetition vector, the HSDF of its self-loop closure (expanded without
+  /// copying the graph unless opts.assume_closed), and Howard's CSR with the
+  /// cycle and zero-token-cycle verdicts. Throws sdf::GraphError on
+  /// inconsistent graphs (same contract as compute_period); a deadlocking
+  /// consistent graph constructs, and reports structurally_deadlocked().
   explicit ThroughputEngine(const sdf::Graph& g, const EngineOptions& opts = {});
 
   /// Period of the cached structure under `exec_times` (one entry per actor
@@ -77,7 +89,8 @@ class ThroughputEngine {
 
   /// Number of actors of the original graph.
   [[nodiscard]] std::size_t actor_count() const noexcept { return actor_count_; }
-  /// Repetition vector of the (closed) graph, computed once at construction.
+  /// Repetition vector of the graph (equal to its closure's), computed
+  /// once at construction.
   [[nodiscard]] const sdf::RepetitionVector& repetition_vector() const noexcept {
     return q_;
   }
@@ -94,7 +107,7 @@ class ThroughputEngine {
 
  private:
   std::size_t actor_count_ = 0;
-  sdf::RepetitionVector q_;              // of the closed graph
+  sdf::RepetitionVector q_;              // of the graph and its closure
   std::vector<sdf::ActorId> node_actor_; // HSDF node -> source actor
   std::vector<double> default_times_;    // the graph's own times, as doubles
   std::vector<double> node_weight_;      // scratch: per-node exec time

@@ -73,16 +73,25 @@ void dedup_candidates(std::vector<HsdfEdgeCandidate>& candidates) {
   candidates.resize(w);
 }
 
-Hsdf expand_to_hsdf(const sdf::Graph& g, const sdf::RepetitionVector& q,
-                    std::span<const double> exec_times) {
+namespace {
+
+// Shared body of expand_to_hsdf and expand_closure_to_hsdf. With
+// `close_self_loops`, every actor lacking a self-loop (Graph::has_self_loop)
+// also contributes the candidates of a synthetic {a, a, 1, 1, 1} channel —
+// exactly the channels Graph::with_self_loops() would append. Channel order
+// does not reach the result: dedup_candidates sorts by (key, tokens).
+Hsdf expand(const sdf::Graph& g, const sdf::RepetitionVector& q,
+            std::span<const double> exec_times, bool close_self_loops,
+            const char* who) {
   if (q.size() != g.actor_count()) {
-    throw sdf::GraphError("expand_to_hsdf: repetition vector size mismatch");
+    throw sdf::GraphError(std::string(who) + ": repetition vector size mismatch");
   }
   if (!exec_times.empty() && exec_times.size() != g.actor_count()) {
-    throw sdf::GraphError("expand_to_hsdf: exec_times size mismatch");
+    throw sdf::GraphError(std::string(who) + ": exec_times size mismatch");
   }
 
   Hsdf h;
+  h.nodes.reserve(static_cast<std::size_t>(sdf::repetition_sum(q)));
   // node_base[a] = index of the first firing-node of actor a.
   std::vector<std::uint32_t> node_base(g.actor_count(), 0);
   for (sdf::ActorId a = 0; a < g.actor_count(); ++a) {
@@ -100,16 +109,27 @@ Hsdf expand_to_hsdf(const sdf::Graph& g, const sdf::RepetitionVector& q,
   // per (producer firing, consumer firing) pair. Candidates are collected
   // flat and deduplicated by one sort + scan — far cheaper than a node-based
   // map on the hot repeated-analysis path.
+  const auto closes = [&](sdf::ActorId a) {
+    return close_self_loops && !g.has_self_loop(a);
+  };
   std::vector<HsdfEdgeCandidate> raw;
   {
     std::size_t upper = 0;  // one candidate per consumed token
     for (const sdf::Channel& ch : g.channels()) {
       upper += static_cast<std::size_t>(q[ch.dst]) * ch.cons_rate;
     }
+    for (sdf::ActorId a = 0; a < g.actor_count(); ++a) {
+      if (closes(a)) upper += static_cast<std::size_t>(q[a]);
+    }
     raw.reserve(upper);
   }
   for (const sdf::Channel& ch : g.channels()) {
     append_channel_candidates(ch, q, node_base, raw);
+  }
+  for (sdf::ActorId a = 0; a < g.actor_count(); ++a) {
+    if (closes(a)) {
+      append_channel_candidates(sdf::Channel{a, a, 1, 1, 1}, q, node_base, raw);
+    }
   }
 
   dedup_candidates(raw);
@@ -118,6 +138,18 @@ Hsdf expand_to_hsdf(const sdf::Graph& g, const sdf::RepetitionVector& q,
     h.edges.push_back(HsdfEdge{cand.src(), cand.dst(), cand.tokens});
   }
   return h;
+}
+
+}  // namespace
+
+Hsdf expand_to_hsdf(const sdf::Graph& g, const sdf::RepetitionVector& q,
+                    std::span<const double> exec_times) {
+  return expand(g, q, exec_times, false, "expand_to_hsdf");
+}
+
+Hsdf expand_closure_to_hsdf(const sdf::Graph& g, const sdf::RepetitionVector& q,
+                            std::span<const double> exec_times) {
+  return expand(g, q, exec_times, true, "expand_closure_to_hsdf");
 }
 
 std::string hsdf_to_dot(const Hsdf& h) {

@@ -57,6 +57,17 @@ struct Hsdf {
 [[nodiscard]] Hsdf expand_to_hsdf(const sdf::Graph& g, const sdf::RepetitionVector& q,
                                   std::span<const double> exec_times = {});
 
+/// Expands the self-loop closure of `g` — the HSDF of g.with_self_loops(),
+/// node for node and edge for edge — without building that graph: every
+/// actor without a self-loop (Graph::has_self_loop) contributes the edges
+/// of a synthetic 1-token, rate-1 self-loop. `q` is g's repetition vector;
+/// those self-loops leave the balance equations, and so q, unchanged.
+///
+/// Throws sdf::GraphError if q does not match the graph.
+[[nodiscard]] Hsdf expand_closure_to_hsdf(const sdf::Graph& g,
+                                          const sdf::RepetitionVector& q,
+                                          std::span<const double> exec_times = {});
+
 /// One candidate precedence edge of the expansion, before the global
 /// minimum-distance deduplication. `key` packs (src node << 32 | dst node)
 /// so sorting and deduplicating are single-word compares.

@@ -62,10 +62,9 @@ LatencyResult iteration_latency(const Hsdf& h) {
 
 GraphLatencyResult compute_latency(const sdf::Graph& g,
                                    std::span<const double> exec_times) {
-  const sdf::Graph closed = g.with_self_loops();
-  const auto q = sdf::compute_repetition_vector(closed);
+  const auto q = sdf::compute_repetition_vector(g);
   if (!q) throw sdf::GraphError("compute_latency: inconsistent graph");
-  const Hsdf h = expand_to_hsdf(closed, *q, exec_times);
+  const Hsdf h = expand_closure_to_hsdf(g, *q, exec_times);
   const LatencyResult r = iteration_latency(h);
   GraphLatencyResult out;
   out.latency = r.latency;

@@ -7,18 +7,18 @@
 namespace procon::analysis {
 
 PeriodResult compute_period(const sdf::Graph& g, std::span<const double> exec_times) {
-  // One-shot use of the reusable engine: fresh and cached analyses share a
-  // single code path, so ThroughputEngine::recompute is exactly equivalent.
-  ThroughputEngine engine(g);
+  // One-shot use of the reusable engine over the materialised self-loop
+  // closure: the oracle that ThroughputEngine(g), which expands the closure
+  // without building it, is checked against bitwise.
+  ThroughputEngine engine(g.with_self_loops(), {.assume_closed = true});
   return engine.recompute(exec_times);
 }
 
 BottleneckReport find_bottleneck(const sdf::Graph& g,
                                  std::span<const double> exec_times) {
-  const sdf::Graph closed = g.with_self_loops();
-  const auto q = sdf::compute_repetition_vector(closed);
+  const auto q = sdf::compute_repetition_vector(g);
   if (!q) throw sdf::GraphError("find_bottleneck: inconsistent graph");
-  const Hsdf h = expand_to_hsdf(closed, *q, exec_times);
+  const Hsdf h = expand_closure_to_hsdf(g, *q, exec_times);
   const CriticalCycleResult cc = mcr_with_critical_cycle(h);
   BottleneckReport report;
   report.deadlocked = cc.mcr.deadlocked;

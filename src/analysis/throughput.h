@@ -32,9 +32,11 @@ struct PeriodResult {
 /// Auto-concurrency is disabled by inserting self-loops, matching the
 /// paper's operational model. Throws sdf::GraphError on inconsistent graphs.
 ///
-/// Deprecated one-shot shim: re-derives all structure per call. Repeated
-/// callers should hold a ThroughputEngine or an api::Workbench session,
-/// whose throughput(app) query returns the same bits from cached structure.
+/// Deprecated one-shot shim: re-derives all structure per call, from a
+/// materialised g.with_self_loops() copy — the reference the closure-free
+/// ThroughputEngine(g) is tested against. Repeated callers should hold a
+/// ThroughputEngine or an api::Workbench session, whose throughput(app)
+/// query returns the same bits from cached structure.
 [[nodiscard]] PeriodResult compute_period(const sdf::Graph& g,
                                           std::span<const double> exec_times = {});
 

@@ -109,10 +109,10 @@ void Workbench::check_app(sdf::AppId app) const {
 
 const analysis::Hsdf& Workbench::cached_hsdf(sdf::AppId app) {
   if (!hsdf_ready_[app]) {
-    const sdf::Graph closed = sys_.app(app).with_self_loops();
-    const auto q = sdf::compute_repetition_vector(closed);
+    const sdf::Graph& g = sys_.app(app);
+    const auto q = sdf::compute_repetition_vector(g);
     if (!q) throw sdf::GraphError("Workbench: inconsistent application");
-    hsdf_[app] = analysis::expand_to_hsdf(closed, *q, {});
+    hsdf_[app] = analysis::expand_closure_to_hsdf(g, *q);
     hsdf_ready_[app] = 1;
   }
   return hsdf_[app];
@@ -553,9 +553,9 @@ Report<std::vector<TopologyResult>> Workbench::sweep_topologies(
     }
     if (opts.with_sim) {
       // Routes are baked at build time, so each topology needs its own
-      // routed engine; the build is small next to the run it serves.
-      sim::SimEngine se(scratch);
-      se.reset(uc);
+      // routed engine. It is built over the entry's view: an O(use-case)
+      // build, and the same use-case rules as the estimate above.
+      sim::SimEngine se(view);
       out.sim = se.run(opts.sim);
     }
   }

@@ -296,9 +296,11 @@ class Workbench {
   /// link-aware estimator through the session's ThroughputEngines (topology
   /// does not change application structure, so they are shared as-is), and,
   /// when opts.with_sim, the routed simulation on a SimEngine built fresh
-  /// from the retargeted system per candidate (routes are baked at build
-  /// time). Candidates with TopologyKind::None reproduce the
-  /// topology-free contention/simulate results bitwise. Throws
+  /// per candidate over the retargeted system's opts.use_case view (routes
+  /// are baked at build time; the build is O(use-case), and a use-case the
+  /// estimator accepts — duplicates included — simulates too). Candidates
+  /// with TopologyKind::None reproduce the topology-free contention/simulate
+  /// results bitwise. Throws
   /// std::invalid_argument when a candidate's node count does not match the
   /// platform.
   [[nodiscard]] Report<std::vector<TopologyResult>> sweep_topologies(

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <string>
+
+#include "gen/graph_generator.h"
 #include "helpers.h"
 #include "prob/estimator.h"
+#include "sdf/algorithms.h"
+#include "sdf/repetition.h"
+#include "util/rng.h"
 
 namespace procon::admission {
 namespace {
@@ -224,6 +232,167 @@ TEST(Admission, WhatIfRemovePredictsReliefWithoutRemoving) {
   EXPECT_NEAR(ctrl.predicted_period(*da.handle), relief.peer_periods[*da.handle],
               1e-9);
   EXPECT_THROW((void)ctrl.what_if_remove(*db.handle), std::out_of_range);
+}
+
+// ---------------------------------------------------------------------------
+// Rejection contract: a candidate miss validates through its engine build
+// alone (no separate consistency / deadlock pass), with the same exception
+// types and messages, and a rejected candidate leaves no trace.
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_same_report(const WhatIfReport& got, const WhatIfReport& want) {
+  EXPECT_EQ(got.admissible, want.admissible);
+  EXPECT_EQ(got.reason, want.reason);
+  EXPECT_TRUE(same_bits(got.predicted_period, want.predicted_period));
+  ASSERT_EQ(got.peer_periods.size(), want.peer_periods.size());
+  for (std::size_t i = 0; i < got.peer_periods.size(); ++i) {
+    EXPECT_TRUE(same_bits(got.peer_periods[i], want.peer_periods[i])) << i;
+  }
+  ASSERT_EQ(got.estimates.size(), want.estimates.size());
+  for (std::size_t i = 0; i < got.estimates.size(); ++i) {
+    EXPECT_TRUE(same_bits(got.estimates[i].isolation_period,
+                          want.estimates[i].isolation_period)) << i;
+    EXPECT_TRUE(same_bits(got.estimates[i].estimated_period,
+                          want.estimates[i].estimated_period)) << i;
+  }
+}
+
+// x -> y at rates 2:1, y -> x at 1:1 — no repetition vector.
+sdf::Graph inconsistent_pair() {
+  sdf::Graph g("inconsistent");
+  const auto x = g.add_actor("x", 5);
+  const auto y = g.add_actor("y", 7);
+  g.add_channel(x, y, 2, 1, 0);
+  g.add_channel(y, x, 1, 1, 1);
+  return g;
+}
+
+// A homogeneous two-actor cycle with no initial token.
+sdf::Graph deadlocked_pair() {
+  sdf::Graph g("deadlocked");
+  const auto x = g.add_actor("x", 5);
+  const auto y = g.add_actor("y", 7);
+  g.add_channel(x, y, 1, 1, 0);
+  g.add_channel(y, x, 1, 1, 0);
+  return g;
+}
+
+// Consistent multi-rate cycle (q = [3, 2]) whose feedback channel holds one
+// token where x needs two to fire.
+sdf::Graph starved_multirate() {
+  sdf::Graph g("starved");
+  const auto x = g.add_actor("x", 5);
+  const auto y = g.add_actor("y", 7);
+  g.add_channel(x, y, 2, 3, 0);
+  g.add_channel(y, x, 3, 2, 1);
+  return g;
+}
+
+std::string graph_error_of(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const sdf::GraphError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AdmissionRejection, InvalidGraphsThrowAndLeaveNoTrace) {
+  const auto a = fig2_graph_a();
+  const auto b = fig2_graph_b();
+  const auto pair = procon::testing::two_actor_cycle(20, 30);
+  const struct {
+    sdf::Graph graph;
+    const char* message;
+  } cases[] = {{inconsistent_pair(), "admission: inconsistent graph"},
+               {deadlocked_pair(), "admission: graph deadlocks"},
+               {starved_multirate(), "admission: graph deadlocks"}};
+  ASSERT_FALSE(sdf::is_consistent(cases[0].graph));
+  ASSERT_TRUE(sdf::is_consistent(cases[2].graph));
+  ASSERT_FALSE(sdf::is_deadlock_free(cases[2].graph));
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.graph.name());
+    AdmissionController ctrl(platform::Platform::homogeneous(3), 2);
+    ASSERT_TRUE(ctrl.request(a, index_mapping(a), QoS::no_requirement()).admitted);
+    (void)ctrl.what_if_admit(b, index_mapping(b), QoS::no_requirement());
+    const std::size_t cached = ctrl.candidate_cache_size();
+    const std::size_t admitted = ctrl.admitted_count();
+    ASSERT_EQ(cached, 2u);
+
+    const auto nodes = index_mapping(c.graph);
+    EXPECT_EQ(graph_error_of([&] {
+                (void)ctrl.request(c.graph, nodes, QoS::no_requirement());
+              }),
+              c.message);
+    EXPECT_EQ(graph_error_of([&] {
+                (void)ctrl.what_if_admit(c.graph, nodes, QoS::no_requirement());
+              }),
+              c.message);
+    WhatIfReport reused;
+    WhatIfOptions verdict_only;
+    verdict_only.with_estimates = false;
+    EXPECT_EQ(graph_error_of([&] {
+                ctrl.what_if_admit(c.graph, nodes, QoS::no_requirement(), reused,
+                                   verdict_only);
+              }),
+              c.message);
+    EXPECT_EQ(ctrl.candidate_cache_size(), cached);
+    EXPECT_EQ(ctrl.admitted_count(), admitted);
+
+    // The next valid probe — a cache miss that evicts — answers exactly as
+    // a fresh controller with the same history.
+    AdmissionController fresh(platform::Platform::homogeneous(3), 2);
+    ASSERT_TRUE(fresh.request(a, index_mapping(a), QoS::no_requirement()).admitted);
+    expect_same_report(ctrl.what_if_admit(pair, {0, 1}, QoS{200.0}),
+                       fresh.what_if_admit(pair, {0, 1}, QoS{200.0}));
+    expect_same_report(ctrl.what_if_admit(b, index_mapping(b), QoS{400.0}),
+                       fresh.what_if_admit(b, index_mapping(b), QoS{400.0}));
+  }
+}
+
+// Rebuilds `g` with every channel's initial tokens cut to a random lower
+// value with probability `p_cut`; rates (and so consistency) are kept.
+sdf::Graph cut_tokens(const sdf::Graph& g, util::Rng& rng, double p_cut) {
+  sdf::Graph out(g.name());
+  for (const sdf::Actor& a : g.actors()) (void)out.add_actor(a.name, a.exec_time);
+  for (const sdf::Channel& ch : g.channels()) {
+    std::uint64_t tokens = ch.initial_tokens;
+    if (tokens > 0 && rng.bernoulli(p_cut)) {
+      tokens = static_cast<std::uint64_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tokens) - 1));
+    }
+    out.add_channel(ch.src, ch.dst, ch.prod_rate, ch.cons_rate, tokens);
+  }
+  return out;
+}
+
+TEST(AdmissionRejection, EngineDeadlockVerdictMatchesAbstractExecution) {
+  util::Rng rng(20071509);
+  gen::GeneratorOptions opts;
+  opts.min_actors = 3;
+  opts.max_actors = 9;
+  opts.max_repetition = 5;
+  opts.chord_fraction = 0.75;
+  std::size_t deadlocked = 0;
+  std::size_t live = 0;
+  AdmissionController ctrl(platform::Platform::homogeneous(9));
+  for (const sdf::Graph& base : gen::generate_graphs(rng, opts, 150, "dl")) {
+    const sdf::Graph g = cut_tokens(base, rng, 0.4);
+    SCOPED_TRACE(g.name());
+    ASSERT_TRUE(sdf::is_consistent(g));
+    const bool dead = !sdf::is_deadlock_free(g);
+    EXPECT_EQ(analysis::ThroughputEngine(g).structurally_deadlocked(), dead);
+    const std::string error = graph_error_of([&] {
+      (void)ctrl.what_if_admit(g, index_mapping(g), QoS::no_requirement());
+    });
+    EXPECT_EQ(error, dead ? "admission: graph deadlocks" : "");
+    ++(dead ? deadlocked : live);
+  }
+  // The sample exercises both verdicts.
+  EXPECT_GT(deadlocked, 20u);
+  EXPECT_GT(live, 20u);
 }
 
 }  // namespace

@@ -538,5 +538,39 @@ TEST(Interconnect, TopologySweepMatchesFreshPipelinesPerTopology) {
   check(many, swept);
 }
 
+// A restricted sweep simulates exactly its use-case, duplicates included:
+// every entry equals sim::simulate over the retargeted system's view (and
+// the estimator over the same view), with and without with_sim alike.
+TEST(Interconnect, RestrictedTopologySweepSimulatesTheUseCaseView) {
+  const System sys = random_system(37, 3, 6);
+  api::Workbench wb(sys, api::WorkbenchOptions{.threads = 1});
+  const std::vector<Topology> topologies{Topology{}, Topology::bus(6, 2, 1),
+                                         Topology::ring(6, 1, 2),
+                                         Topology::mesh(2, 3, 2, 1)};
+  for (const platform::UseCase& uc :
+       {platform::UseCase{2, 0}, platform::UseCase{1, 1}}) {
+    SCOPED_TRACE(::testing::PrintToString(uc));
+    api::TopologySweepOptions topts;
+    topts.sim.horizon = 30'000;
+    topts.use_case = uc;
+    const prob::ContentionEstimator est(topts.estimator);
+    const auto swept = wb.sweep_topologies(topologies, topts);
+    ASSERT_EQ(swept->size(), topologies.size());
+    topts.with_sim = false;
+    const auto estimates_only = wb.sweep_topologies(topologies, topts);
+    ASSERT_EQ(estimates_only->size(), topologies.size());
+    for (std::size_t i = 0; i < topologies.size(); ++i) {
+      SCOPED_TRACE(i);
+      System copy = sys;
+      copy.set_topology(topologies[i]);
+      const SystemView view(copy, uc);
+      ASSERT_EQ((*swept)[i].sim.apps.size(), uc.size());
+      expect_same((*swept)[i].sim, sim::simulate(view, topts.sim));
+      expect_same((*swept)[i].estimates, est.estimate(view));
+      expect_same((*estimates_only)[i].estimates, (*swept)[i].estimates);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace procon
