@@ -1,7 +1,7 @@
 // The sharded transposition table under cross-tenant load — the
 // PR-over-PR tracker for Zobrist-keyed result memoisation.
 //
-// Three measurements on the paper workload:
+// Two measurements on the paper workload:
 //
 //  1. cross-tenant repeated-query speedup: T structurally identical
 //     tenants (renamed clones of the workload system) each open R fresh
@@ -17,14 +17,8 @@
 //     table serves the same query kinds across the renamed tenants; the
 //     tt-stats counters it exposes are reported.
 //
-//  3. warm-hit allocation count: a warm table-backed admission verdict
-//     probe (what_if_admit with estimates off) is bracketed with the
-//     alloc probe; the count per probe must be ZERO.
-//
 // Emits BENCH_transposition.json; CI smoke-runs it and the Release gate
 // checks the identity flag on the committed copy.
-#include "util/alloc_probe.h"  // FIRST: replaces global new/delete
-
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -32,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "admission/admission.h"
 #include "analysis/transposition_table.h"
 #include "api/service.h"
 #include "api/workbench.h"
@@ -168,34 +161,6 @@ int main(int argc, char** argv) {
     identical = identical && s.hits > 0;
   }
 
-  // ---- 3. warm-hit allocation count ---------------------------------------
-  std::uint64_t warm_probe_allocs = 0;
-  {
-    admission::AdmissionController ctrl(base.platform(), 8, table);
-    std::vector<platform::NodeId> nodes0(base.app(0).actor_count());
-    for (std::size_t a = 0; a < nodes0.size(); ++a) {
-      nodes0[a] = static_cast<platform::NodeId>(a);
-    }
-    std::vector<platform::NodeId> nodes1(base.app(1).actor_count());
-    for (std::size_t a = 0; a < nodes1.size(); ++a) {
-      nodes1[a] = static_cast<platform::NodeId>(a);
-    }
-    (void)ctrl.request(base.app(0), nodes0, admission::QoS::no_requirement());
-    admission::WhatIfOptions verdict_only;
-    verdict_only.with_estimates = false;
-    admission::WhatIfReport report;
-    ctrl.what_if_admit(base.app(1), nodes1, admission::QoS::no_requirement(),
-                       report, verdict_only);  // warm-up: fills the table
-    constexpr std::uint64_t kProbes = 16;
-    const std::uint64_t before = util::alloc_probe::allocations();
-    for (std::uint64_t i = 0; i < kProbes; ++i) {
-      ctrl.what_if_admit(base.app(1), nodes1, admission::QoS::no_requirement(),
-                         report, verdict_only);
-    }
-    warm_probe_allocs = (util::alloc_probe::allocations() - before) / kProbes;
-    identical = identical && warm_probe_allocs == 0;
-  }
-
   char json[768];
   std::snprintf(
       json, sizeof(json),
@@ -203,14 +168,13 @@ int main(int argc, char** argv) {
       "\"rounds\":%zu,\"table_off_ms\":%.2f,\"table_on_ms\":%.2f,"
       "\"speedup\":%.2f,\"tt_hits\":%llu,\"tt_misses\":%llu,"
       "\"tt_hit_rate\":%.3f,\"tt_evictions\":%llu,"
-      "\"service_tt_hit_rate\":%.3f,\"warm_probe_allocs\":%llu,"
+      "\"service_tt_hit_rate\":%.3f,"
       "\"identical\":%s}",
       static_cast<unsigned long long>(opts.seed), kTenants, kRounds,
       1e3 * off_seconds, 1e3 * on_seconds, speedup,
       static_cast<unsigned long long>(wb_stats.hits),
       static_cast<unsigned long long>(wb_stats.misses), wb_stats.hit_rate(),
       static_cast<unsigned long long>(wb_stats.evictions), service_hit_rate,
-      static_cast<unsigned long long>(warm_probe_allocs),
       identical ? "true" : "false");
 
   std::cout << json << "\n";
@@ -219,8 +183,7 @@ int main(int argc, char** argv) {
 
   if (!identical) {
     std::cerr << "FAIL: table-on results diverged from the table-off "
-                 "baseline, the service table never hit, or a warm probe "
-                 "allocated\n";
+                 "baseline or the service table never hit\n";
     return 1;
   }
   return 0;

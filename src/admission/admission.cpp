@@ -18,17 +18,13 @@ using prob::Composite;
 // Structural identity: the candidate LRU is keyed by the name-free Zobrist
 // graph component (sdf::ZobristHash::graph_component — the same per-app
 // component platform::System maintains incrementally), tie-broken exactly
-// by sdf::graphs_equal. The transposition table keys derive from the same
-// component, so candidate state and memoised periods agree on what "same
-// graph" means.
+// by sdf::graphs_equal.
 
-AdmissionController::AdmissionController(
-    platform::Platform platform, std::size_t candidate_cache_capacity,
-    std::shared_ptr<analysis::TranspositionTable> table)
+AdmissionController::AdmissionController(platform::Platform platform,
+                                         std::size_t candidate_cache_capacity)
     : platform_(std::move(platform)),
       store_({}, platform_, platform::Mapping(std::span<const sdf::Graph>{})),
-      candidate_capacity_(std::max<std::size_t>(candidate_cache_capacity, 1)),
-      table_(std::move(table)) {
+      candidate_capacity_(std::max<std::size_t>(candidate_cache_capacity, 1)) {
   nodes_.assign(platform_.node_count(), Composite::identity());
   candidates_.reserve(candidate_capacity_);
 }
@@ -92,7 +88,6 @@ AdmissionController::CandidateEntry& AdmissionController::candidate_for(
   if (iso.deadlocked || iso.period <= 0.0) {
     throw sdf::GraphError("admission: no positive isolation period");
   }
-  entry.isolation_period = iso.period;
   entry.loads = prob::derive_loads(app, entry.engine->repetition_vector(), iso.period);
   entry.last_used = ++candidate_clock_;
 
@@ -118,29 +113,24 @@ void AdmissionController::totals_with(std::span<const platform::NodeId> nodes,
   }
 }
 
+void AdmissionController::fold_active_without(AppHandle excluded,
+                                              std::vector<Composite>& totals) const {
+  totals.assign(platform_.node_count(), Composite::identity());
+  for (AppHandle h = 0; h < apps_.size(); ++h) {
+    const AdmittedApp& rec = apps_[h];
+    if (!rec.active || h == excluded) continue;
+    for (sdf::ActorId a = 0; a < rec.nodes.size(); ++a) {
+      Composite& t = totals[rec.nodes[a]];
+      t = prob::compose(t, prob::to_composite(rec.loads[a]));
+    }
+  }
+}
+
 PROCON_WARM_PATH double AdmissionController::predict_period(
-    std::uint64_t graph_comp, const sdf::Graph& graph,
-    std::span<const platform::NodeId> nodes,
+    const sdf::Graph& graph, std::span<const platform::NodeId> nodes,
     std::span<const prob::ActorLoad> loads, analysis::ThroughputEngine& engine,
     std::span<const Composite> node_totals) const {
   PROCON_ASSERT_NO_ALLOC("AdmissionController::predict_period");
-  // Transposition probe: the period is a pure function of the graph
-  // structure (loads derive from it deterministically), the node
-  // assignment, and the composites on the assigned nodes — absorb exactly
-  // those, bitwise. A hit returns the stored recompute result verbatim.
-  analysis::TTKey key;
-  if (table_) {
-    analysis::TTKeyBuilder b(graph_comp, analysis::TTQuery::AdmissionPeriod);
-    for (std::size_t a = 0; a < nodes.size(); ++a) {
-      const Composite& total = node_totals[nodes[a]];
-      b.absorb(nodes[a]);
-      b.absorb_double(total.probability);
-      b.absorb_double(total.weighted_blocking);
-    }
-    key = b.key();
-    analysis::TTValue v;
-    if (table_->lookup(key, v)) return v.primary;
-  }
   response_scratch_.assign(graph.actor_count(), 0.0);
   for (sdf::ActorId a = 0; a < graph.actor_count(); ++a) {
     const Composite self = prob::to_composite(loads[a]);
@@ -159,11 +149,6 @@ PROCON_WARM_PATH double AdmissionController::predict_period(
   if (res.deadlocked) {
     throw sdf::GraphError("predict_period: response-time graph deadlocks");
   }
-  if (table_) {
-    analysis::TTValue v;
-    v.primary = res.period;
-    table_->store(key, v);
-  }
   return res.period;
 }
 
@@ -173,8 +158,8 @@ void AdmissionController::evaluate_candidate(
   totals_with(nodes, cand.loads, totals_scratch_);
 
   // The candidate's own predicted period.
-  out.predicted_period = predict_period(cand.fingerprint, graph, nodes,
-                                        cand.loads, *cand.engine, totals_scratch_);
+  out.predicted_period =
+      predict_period(graph, nodes, cand.loads, *cand.engine, totals_scratch_);
   if (out.predicted_period > qos.max_period) {
     out.reason = "requesting application's predicted period " +
                  std::to_string(out.predicted_period) +
@@ -189,9 +174,8 @@ void AdmissionController::evaluate_candidate(
       out.peer_periods.push_back(0.0);
       continue;
     }
-    const double p =
-        predict_period(store_.app_component(h), store_.app(h), peer.nodes,
-                       peer.loads, *peer.engine, totals_scratch_);
+    const double p = predict_period(store_.app(h), peer.nodes, peer.loads,
+                                    *peer.engine, totals_scratch_);
     out.peer_periods.push_back(p);
     if (p > peer.qos.max_period) {
       out.reason = "admission would push application '" + store_.app(h).name() +
@@ -242,13 +226,13 @@ Decision AdmissionController::request(const sdf::Graph& app,
   decision.reason = std::move(verdict.reason);
   if (!verdict.admissible) return decision;
 
-  // Commit: move the graph into the resident store and update every touched
-  // node composite in O(1) per actor.
+  // Commit: move the graph into the resident store and compose its loads on
+  // top of every touched node in O(1) per actor. The new handle is the
+  // largest, so this extends the handle-order fold.
   AdmittedApp rec;
   rec.nodes = nodes;
   rec.qos = qos;
   rec.engine = cand.engine;  // shared with the LRU slot
-  rec.isolation_period = cand.isolation_period;
   rec.loads = cand.loads;
   store_.append_app(app, nodes);
   for (sdf::ActorId a = 0; a < rec.nodes.size(); ++a) {
@@ -319,31 +303,7 @@ WhatIfReport AdmissionController::what_if_remove(
   if (handle >= apps_.size() || !apps_[handle].active) {
     throw std::out_of_range("what_if_remove: unknown or already-removed application");
   }
-  const AdmittedApp& rec = apps_[handle];
-
-  // Node composites without the removed application: peel its loads out via
-  // the inverse operators, or rebuild from the survivors when some load is
-  // saturated (the paper's non-invertible caveat).
-  bool invertible = true;
-  for (const prob::ActorLoad& l : rec.loads) {
-    invertible = invertible && prob::can_invert(prob::to_composite(l));
-  }
-  if (invertible) {
-    totals_scratch_.assign(nodes_.begin(), nodes_.end());
-    for (sdf::ActorId a = 0; a < rec.nodes.size(); ++a) {
-      Composite& t = totals_scratch_[rec.nodes[a]];
-      t = prob::decompose(t, prob::to_composite(rec.loads[a]));
-    }
-  } else {
-    totals_scratch_.assign(platform_.node_count(), Composite::identity());
-    for (AppHandle h = 0; h < apps_.size(); ++h) {
-      if (!apps_[h].active || h == handle) continue;
-      for (sdf::ActorId b = 0; b < apps_[h].nodes.size(); ++b) {
-        Composite& t = totals_scratch_[apps_[h].nodes[b]];
-        t = prob::compose(t, prob::to_composite(apps_[h].loads[b]));
-      }
-    }
-  }
+  fold_active_without(handle, totals_scratch_);
 
   WhatIfReport out;
   out.admissible = true;
@@ -354,9 +314,9 @@ WhatIfReport AdmissionController::what_if_remove(
       out.peer_periods.push_back(0.0);
       continue;
     }
-    out.peer_periods.push_back(
-        predict_period(store_.app_component(h), store_.app(h), apps_[h].nodes,
-                       apps_[h].loads, *apps_[h].engine, totals_scratch_));
+    out.peer_periods.push_back(predict_period(store_.app(h), apps_[h].nodes,
+                                              apps_[h].loads, *apps_[h].engine,
+                                              totals_scratch_));
     survivors.push_back(h);
     engines.push_back(apps_[h].engine.get());
   }
@@ -368,31 +328,9 @@ void AdmissionController::remove(AppHandle handle) {
   if (handle >= apps_.size() || !apps_[handle].active) {
     throw std::out_of_range("remove: unknown or already-removed application");
   }
-  AdmittedApp& rec = apps_[handle];
-  bool invertible = true;
-  for (const prob::ActorLoad& l : rec.loads) {
-    invertible = invertible && prob::can_invert(prob::to_composite(l));
-  }
-  if (invertible) {
-    // O(1) per actor: peel each load out of its node composite (Eq. 8/9).
-    for (sdf::ActorId a = 0; a < rec.nodes.size(); ++a) {
-      Composite& t = nodes_[rec.nodes[a]];
-      t = prob::decompose(t, prob::to_composite(rec.loads[a]));
-    }
-    rec.active = false;
-  } else {
-    // Saturated actor (P == 1): the inverse is undefined; rebuild all node
-    // composites from the remaining applications (paper's caveat).
-    rec.active = false;
-    nodes_.assign(platform_.node_count(), Composite::identity());
-    for (const AdmittedApp& other : apps_) {
-      if (!other.active) continue;
-      for (sdf::ActorId b = 0; b < other.nodes.size(); ++b) {
-        Composite& t = nodes_[other.nodes[b]];
-        t = prob::compose(t, prob::to_composite(other.loads[b]));
-      }
-    }
-  }
+  // Nothing reads an inactive record: drop its engine share and loads.
+  apps_[handle] = AdmittedApp{};
+  fold_active_without(handle, nodes_);
 }
 
 double AdmissionController::predicted_period(AppHandle handle) const {
@@ -400,8 +338,8 @@ double AdmissionController::predicted_period(AppHandle handle) const {
     throw std::out_of_range("predicted_period: unknown application");
   }
   const AdmittedApp& rec = apps_[handle];
-  return predict_period(store_.app_component(handle), store_.app(handle),
-                        rec.nodes, rec.loads, *rec.engine, nodes_);
+  return predict_period(store_.app(handle), rec.nodes, rec.loads, *rec.engine,
+                        nodes_);
 }
 
 }  // namespace procon::admission

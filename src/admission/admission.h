@@ -2,11 +2,14 @@
 // technique for run-time admission control").
 //
 // The controller keeps one Composite (combined blocking probability and
-// weighted blocking time, Eq. 6/7) per processing node, covering every
-// actor of every admitted application. Admitting or removing an
-// application updates each touched node in O(1) per actor via the
-// composability operators and their inverses (Eq. 8/9) - no re-analysis of
-// the other applications' internals is needed.
+// weighted blocking time, Eq. 6/7) per processing node: the left fold, in
+// ascending handle order, of every active application's actor loads. Eq. 7
+// is associative only to second order, so that fixed order is what makes
+// the committed state - and every prediction read from it - a function of
+// the admitted set alone. Admitting composes the new application's loads on
+// top in O(1) per actor (a new handle is always the largest, so that is the
+// fold); removing re-folds the survivors from their cached loads. Neither
+// re-analyses the other applications' internals.
 //
 // An admission request is granted iff
 //   * the new application's predicted period meets its own requirement, and
@@ -14,11 +17,11 @@
 //     registered requirement.
 //
 // Steady-state serving contract: candidate analysis state (throughput
-// engine, isolation period, per-actor loads) is held in a small LRU keyed
-// by graph structure, so repeated probes — and the request() that usually
-// follows a successful probe — of the same application are O(weights):
-// no validation re-run, no engine rebuild, no load re-derivation. A miss is
-// one engine build plus one cold recompute (the isolation period): the
+// engine, per-actor loads) is held in a small LRU keyed by graph structure,
+// so repeated probes — and the request() that usually follows a successful
+// probe — of the same application are O(weights): no validation re-run,
+// no engine rebuild, no load re-derivation. A miss is one engine build plus
+// one cold recompute (the isolation period the loads derive from): the
 // build's single structural pass over the graph also decides consistency
 // and deadlock freedom, so no separate validation pass runs. A
 // verdict-only probe (WhatIfOptions::with_estimates = false) of a cached
@@ -37,7 +40,6 @@
 #include <vector>
 
 #include "analysis/engine.h"
-#include "analysis/transposition_table.h"
 #include "platform/platform.h"
 #include "platform/system.h"
 #include "platform/system_view.h"
@@ -115,12 +117,10 @@ struct WhatIfOptions {
 ///
 /// Determinism: decisions and predictions are pure functions of the
 /// admitted set and the probe inputs; the candidate LRU only caches
-/// structure-derived state (engines, isolation periods, loads), never
-/// verdicts, so cache hits and misses produce identical numbers. The
-/// optional transposition table memoises predicted periods bitwise
-/// (keyed by graph Zobrist component x node assignment x node composites),
-/// so table-backed and table-free controllers also produce identical
-/// numbers — including the reason strings built from them.
+/// structure-derived state (engines, loads), never verdicts, so cache hits
+/// and misses produce identical numbers. After any admit/remove history,
+/// node loads and predictions are bitwise those of a fresh controller that
+/// admitted the active set in handle order.
 class AdmissionController {
  public:
   /// \brief Constructs a controller over `platform` with an empty admitted
@@ -129,13 +129,8 @@ class AdmissionController {
   /// \param candidate_cache_capacity number of distinct candidate
   ///        applications whose analysis state is retained (LRU evicted
   ///        beyond that); values below 1 are clamped to 1
-  /// \param table optional shared transposition table memoising contention
-  ///        period predictions across probes — and across controllers /
-  ///        Workbench sessions sharing the same table. nullptr disables
-  ///        memoisation (results are bitwise identical either way).
-  explicit AdmissionController(
-      platform::Platform platform, std::size_t candidate_cache_capacity = 8,
-      std::shared_ptr<analysis::TranspositionTable> table = nullptr);
+  explicit AdmissionController(platform::Platform platform,
+                               std::size_t candidate_cache_capacity = 8);
 
   /// \brief Requests admission of `app` with actor a mapped on `nodes[a]`.
   ///
@@ -149,7 +144,8 @@ class AdmissionController {
   Decision request(const sdf::Graph& app, const std::vector<platform::NodeId>& nodes,
                    const QoS& qos);
 
-  /// \brief Removes an admitted application, releasing its load.
+  /// \brief Removes an admitted application, releasing its load: the node
+  /// composites are re-folded from the survivors in handle order.
   /// \param handle the handle request() returned. Throws std::out_of_range
   ///        for unknown/stale handles.
   void remove(AppHandle handle);
@@ -243,7 +239,6 @@ class AdmissionController {
     bool active = false;
     std::vector<platform::NodeId> nodes;
     std::vector<prob::ActorLoad> loads;
-    double isolation_period = 0.0;
     QoS qos;
     /// Cached per-graph analysis state: an admitted application's structure
     /// never changes, so every what-if period prediction (its own and each
@@ -257,15 +252,13 @@ class AdmissionController {
   /// (independent of its mapping), so a repeated probe skips validation,
   /// engine construction and load derivation. Keyed by the name-free
   /// Zobrist graph component (sdf::ZobristHash::graph_component — the same
-  /// value System maintains per resident app), so candidate entries and
-  /// transposition keys agree; the graph copy disambiguates collisions
-  /// exactly (graphs_equal, which does compare names).
+  /// value System maintains per resident app); the graph copy disambiguates
+  /// collisions exactly (graphs_equal, which does compare names).
   struct CandidateEntry {
     std::uint64_t fingerprint = 0;
     std::uint64_t last_used = 0;
     sdf::Graph graph;
     std::shared_ptr<analysis::ThroughputEngine> engine;
-    double isolation_period = 0.0;
     std::vector<prob::ActorLoad> loads;
   };
 
@@ -279,13 +272,8 @@ class AdmissionController {
   /// Predicted period of the app `graph` describes with loads `loads` and
   /// actor a on nodes[a], when node composites are `node_totals` (which
   /// must already include the app's own actors). Reuses response_scratch_.
-  /// `graph_comp` is the graph's Zobrist component (the transposition key
-  /// root); with a table attached, a repeat of the same (graph, nodes,
-  /// relevant composites) is a lookup instead of an engine recompute — the
-  /// stored period is the bitwise result of that recompute.
   [[nodiscard]] double predict_period(
-      std::uint64_t graph_comp, const sdf::Graph& graph,
-      std::span<const platform::NodeId> nodes,
+      const sdf::Graph& graph, std::span<const platform::NodeId> nodes,
       std::span<const prob::ActorLoad> loads, analysis::ThroughputEngine& engine,
       std::span<const prob::Composite> node_totals) const;
 
@@ -294,6 +282,12 @@ class AdmissionController {
   void totals_with(std::span<const platform::NodeId> nodes,
                    std::span<const prob::ActorLoad> loads,
                    std::vector<prob::Composite>& totals) const;
+
+  /// Fills `totals` with the left fold, in ascending handle order, of every
+  /// active application's loads except `excluded`'s — the committed state
+  /// with `excluded` gone. Reuses the target's capacity.
+  void fold_active_without(AppHandle excluded,
+                           std::vector<prob::Composite>& totals) const;
 
   /// Shared evaluation path of request()/what_if_admit(): composability
   /// checks for candidate `cand` mapped on `nodes`. Fills out's verdict
@@ -317,16 +311,14 @@ class AdmissionController {
   /// already-admitted graphs); a what_if_admit report appends the candidate
   /// and pops it before returning.
   platform::System store_;
-  std::vector<AdmittedApp> apps_;       // indexed by handle; inactive = removed
-  std::vector<prob::Composite> nodes_;  // committed composite per node
+  std::vector<AdmittedApp> apps_;  // indexed by handle; inactive = removed
+  /// Committed composite per node: the handle-order fold of the active set.
+  std::vector<prob::Composite> nodes_;
 
   // Candidate LRU (see class comment). candidate_clock_ stamps uses.
   std::vector<CandidateEntry> candidates_;
   std::size_t candidate_capacity_ = 8;
   std::uint64_t candidate_clock_ = 0;
-
-  // Optional shared transposition table (see constructor). nullptr = off.
-  std::shared_ptr<analysis::TranspositionTable> table_;
 
   // Scratch reused across queries (the allocation-free probe path); mutable
   // because const predictions share it — see the thread-safety note.

@@ -1,13 +1,13 @@
 // A sharded, capacity-bounded transposition table memoising analysis
 // results under the whole stack.
 //
-// Admission probes, DSE candidates, use-case sweeps and multi-tenant
-// service queries keep re-solving structurally identical subproblems —
-// often across *different* tenants, since the Zobrist fingerprints they
-// are keyed by are name-free (sdf/zobrist.h). One shared table turns each
-// repeat into a bucket probe: entries are keyed by
-// (fingerprint x query kind x query params) and store compact results
-// (a period, WCRT bounds, a mapping score, up to six critical-actor ids).
+// DSE candidates, use-case sweeps and multi-tenant service queries keep
+// re-solving structurally identical subproblems — often across *different*
+// tenants, since the Zobrist fingerprints they are keyed by are name-free
+// (sdf/zobrist.h). One shared table turns each repeat into a bucket probe:
+// entries are keyed by (fingerprint x query kind x query params) and store
+// compact results (a period, WCRT bounds, a mapping score, up to six
+// critical-actor ids).
 //
 // Correctness contract (mirrors the repo's other caches, see
 // docs/ARCHITECTURE.md): a stored value is the *bitwise* result of the
@@ -39,14 +39,13 @@ namespace procon::analysis {
 /// \brief What a transposition entry memoises. Part of the key: the same
 /// fingerprint under different kinds never collides.
 enum class TTQuery : std::uint8_t {
-  IsolationPeriod,  ///< per-app Howard period (Workbench::throughput, admission isolation)
+  IsolationPeriod,  ///< per-app Howard period (Workbench::throughput, buffer explorer)
   Latency,          ///< per-app critical-path latency (Workbench::latency)
   Bottleneck,       ///< per-app bottleneck report (Workbench::bottleneck)
   BufferPeriod,     ///< buffer-capped period per caps vector (explore_buffer_tradeoff)
   MappingScore,     ///< worst-app contention score per candidate mapping (dse)
   WcrtAppBound,     ///< per-app WCRT summary (isolation / worst-case period)
   WcrtActorBound,   ///< per-actor WCRT pair (waiting / response time)
-  AdmissionPeriod,  ///< admission contention-predicted period per load vector
 };
 
 /// \brief A 128-bit probabilistic key: primary hash (selects shard and
@@ -91,7 +90,7 @@ class TTKeyBuilder {
 
 /// \brief Compact memoised result: two doubles, up to six 32-bit ids and a
 /// flag byte. Large enough for every cached query kind (period + critical
-/// cycle, WCRT pairs, score, admission period); results that do not fit
+/// cycle, WCRT pairs, score); results that do not fit
 /// (e.g. a bottleneck report with more than six actors) are simply not
 /// cached, never truncated.
 struct TTValue {

@@ -6,9 +6,9 @@
 //                = mu_a P_a (1 + P_b/2) + mu_b P_b (1 + P_a/2)       (Eq. 7)
 // (+) is exactly associative and commutative; (x) is commutative and
 // associative to second order. The inverses (Eq. 8, 9) remove a component
-// from a composite in O(1), enabling incremental analysis when applications
-// enter/leave at run time (admission control). The inverse requires
-// P_b != 1 - the paper's own caveat; callers must check via can_invert().
+// from a composite in O(1): the waiting time an actor sees is the composite
+// of its node with its own load removed. The inverse requires P_b != 1 -
+// the paper's own caveat; callers must check via can_invert().
 #pragma once
 
 #include <span>
@@ -38,8 +38,11 @@ struct Composite {
 [[nodiscard]] Composite compose(const Composite& a, const Composite& b) noexcept;
 
 /// Left fold of `loads` with compose(), starting from identity. The fold
-/// order is the span order (deterministic; (x) is associative only to
-/// second order, so order matters in the last digits).
+/// order is the span order. (x) is associative only to second order, so
+/// another order - or peeling a load back out with decompose() - moves the
+/// weighted blocking, and the periods predicted from it, by whole percents
+/// on loaded nodes. State that must depend only on a set of loads fixes one
+/// order: admission::AdmissionController folds its nodes in handle order.
 [[nodiscard]] Composite compose_all(std::span<const ActorLoad> loads) noexcept;
 
 /// True if `b` can be removed from a composite (P_b sufficiently far

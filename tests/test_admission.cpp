@@ -5,6 +5,8 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/graph_generator.h"
 #include "helpers.h"
@@ -24,6 +26,8 @@ std::vector<platform::NodeId> index_mapping(const sdf::Graph& g) {
   for (sdf::ActorId a = 0; a < g.actor_count(); ++a) nodes[a] = a;
   return nodes;
 }
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 TEST(Admission, FirstAppAlwaysFitsAlone) {
   AdmissionController ctrl(platform::Platform::homogeneous(3));
@@ -80,10 +84,10 @@ TEST(Admission, RemoveRestoresCapacity) {
   EXPECT_FALSE(ctrl.request(b, index_mapping(b), QoS{310.0}).admitted);
   ctrl.remove(*da.handle);
   EXPECT_EQ(ctrl.admitted_count(), 0u);
-  // Node composites must be (numerically) back to identity.
+  // Node composites are exactly back to identity: the fold of no loads.
   for (platform::NodeId n = 0; n < 3; ++n) {
-    EXPECT_NEAR(ctrl.node_load(n).probability, 0.0, 1e-12);
-    EXPECT_NEAR(ctrl.node_load(n).weighted_blocking, 0.0, 1e-12);
+    EXPECT_TRUE(same_bits(ctrl.node_load(n).probability, 0.0));
+    EXPECT_TRUE(same_bits(ctrl.node_load(n).weighted_blocking, 0.0));
   }
   EXPECT_TRUE(ctrl.request(b, index_mapping(b), QoS{310.0}).admitted);
 }
@@ -227,19 +231,99 @@ TEST(Admission, WhatIfRemovePredictsReliefWithoutRemoving) {
   ASSERT_EQ(relief.estimates.size(), 1u);
   EXPECT_NEAR(relief.estimates[0].estimated_period, 300.0, 1e-6);
 
-  // The prediction matches what remove() actually produces.
+  // The prediction is bitwise what remove() actually produces.
   ctrl.remove(*db.handle);
-  EXPECT_NEAR(ctrl.predicted_period(*da.handle), relief.peer_periods[*da.handle],
-              1e-9);
+  EXPECT_TRUE(same_bits(ctrl.predicted_period(*da.handle),
+                        relief.peer_periods[*da.handle]));
   EXPECT_THROW((void)ctrl.what_if_remove(*db.handle), std::out_of_range);
+}
+
+// History independence: after any admit/remove sequence, node loads and
+// predictions are bitwise those of a fresh controller that admitted only
+// the survivors, in handle order. Removal re-folds; it never peels a load
+// back out with the Eq. 8/9 inverses, whose residue would break this.
+TEST(Admission, ChurnMatchesFreshControllerOfActiveSet) {
+  constexpr platform::NodeId kNodes = 5;
+  const platform::Platform plat = platform::Platform::homogeneous(kNodes);
+  util::Rng rng(16);
+  gen::GeneratorOptions gopts;
+  gopts.min_actors = 3;
+  gopts.max_actors = 6;
+  std::vector<sdf::Graph> pool = gen::generate_graphs(rng, gopts, 7, "churn");
+  // One actor is busy all period: P = 1, the load Eq. 8/9 cannot invert.
+  sdf::Graph solo("solo");
+  (void)solo.add_actor("s", 40);
+  pool.push_back(solo);
+  const std::size_t solo_idx = pool.size() - 1;
+  std::vector<std::vector<platform::NodeId>> maps;
+  for (const sdf::Graph& g : pool) {
+    std::vector<platform::NodeId> nodes(g.actor_count());
+    for (platform::NodeId& n : nodes) {
+      n = static_cast<platform::NodeId>(rng.uniform_int(0, kNodes - 1));
+    }
+    maps.push_back(std::move(nodes));
+  }
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  AdmissionController live(plat);
+  std::vector<std::pair<AppHandle, std::size_t>> active;  // (handle, pool idx)
+  WhatIfOptions verdict_only;
+  verdict_only.with_estimates = false;
+  WhatIfReport live_probe;
+  WhatIfReport fresh_probe;
+  std::size_t removals = 0;
+  std::size_t solo_removals = 0;
+  for (int op = 0; op < 200; ++op) {
+    if (active.size() < 2 || (active.size() < 8 && rng.bernoulli(0.5))) {
+      const std::size_t idx = pick(pool.size());
+      const Decision d = live.request(pool[idx], maps[idx], QoS::no_requirement());
+      ASSERT_TRUE(d.admitted);
+      active.emplace_back(*d.handle, idx);
+      continue;
+    }
+    const std::size_t victim = pick(active.size());
+    live.remove(active[victim].first);
+    solo_removals += active[victim].second == solo_idx ? 1 : 0;
+    active.erase(active.begin() + static_cast<std::ptrdiff_t>(victim));
+    ++removals;
+
+    SCOPED_TRACE("operation " + std::to_string(op));
+    AdmissionController fresh(plat);
+    std::vector<AppHandle> fresh_handles;
+    for (const auto& [handle, idx] : active) {
+      const Decision d = fresh.request(pool[idx], maps[idx], QoS::no_requirement());
+      ASSERT_TRUE(d.admitted);
+      fresh_handles.push_back(*d.handle);
+    }
+    for (platform::NodeId n = 0; n < kNodes; ++n) {
+      EXPECT_TRUE(same_bits(live.node_load(n).probability,
+                            fresh.node_load(n).probability)) << "node " << n;
+      EXPECT_TRUE(same_bits(live.node_load(n).weighted_blocking,
+                            fresh.node_load(n).weighted_blocking)) << "node " << n;
+    }
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      EXPECT_TRUE(same_bits(live.predicted_period(active[i].first),
+                            fresh.predicted_period(fresh_handles[i])))
+          << "survivor " << i;
+    }
+    const std::size_t probe = pick(pool.size());
+    live.what_if_admit(pool[probe], maps[probe], QoS::no_requirement(), live_probe,
+                       verdict_only);
+    fresh.what_if_admit(pool[probe], maps[probe], QoS::no_requirement(),
+                        fresh_probe, verdict_only);
+    EXPECT_TRUE(same_bits(live_probe.predicted_period, fresh_probe.predicted_period));
+  }
+  // The run churns, and it removes the saturated application too.
+  EXPECT_GT(removals, 50u);
+  EXPECT_GT(solo_removals, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Rejection contract: a candidate miss validates through its engine build
 // alone (no separate consistency / deadlock pass), with the same exception
 // types and messages, and a rejected candidate leaves no trace.
-
-bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 void expect_same_report(const WhatIfReport& got, const WhatIfReport& want) {
   EXPECT_EQ(got.admissible, want.admissible);

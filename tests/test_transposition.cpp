@@ -10,12 +10,10 @@
 //  * TranspositionTable unit behaviour: round-trips, verify-tag rejection
 //    of primary-hash collisions, bucketed replace-oldest eviction at tiny
 //    capacity, counter bookkeeping, concurrent hammering (TSan target);
-//  * bitwise identity: admission decisions (verdicts, periods, reason
-//    strings), Workbench queries and AnalysisService results are identical
-//    with the table on, off, warm, shared, or evicting;
+//  * bitwise identity: Workbench queries and AnalysisService results are
+//    identical with the table on, off, warm, shared, or evicting;
 //  * warm table hits are allocation-free (util/alloc_probe.h replaces
-//    ::operator new for this binary), including the admission verdict-only
-//    probe path with a table attached.
+//    ::operator new for this binary).
 #include "util/alloc_probe.h"  // FIRST: replaces global new/delete
 
 #include <gtest/gtest.h>
@@ -23,12 +21,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "admission/admission.h"
 #include "analysis/transposition_table.h"
 #include "api/service.h"
 #include "api/workbench.h"
@@ -41,10 +37,6 @@
 namespace procon {
 namespace {
 
-using admission::AdmissionController;
-using admission::QoS;
-using admission::WhatIfOptions;
-using admission::WhatIfReport;
 using analysis::TranspositionTable;
 using analysis::TTKey;
 using analysis::TTKeyBuilder;
@@ -381,90 +373,6 @@ TEST(TranspositionTable, ConcurrentHammerKeepsValuesConsistent) {
   EXPECT_EQ(stats.stores, stats.misses);  // every miss stored exactly once
 }
 
-// ---- bitwise identity: admission --------------------------------------------
-
-struct AdmissionStep {
-  bool ok = false;
-  double predicted = 0.0;
-  std::string reason;
-  std::vector<double> peers;
-};
-
-bool operator==(const AdmissionStep& a, const AdmissionStep& b) {
-  return a.ok == b.ok && a.predicted == b.predicted && a.reason == b.reason &&
-         a.peers == b.peers;
-}
-
-std::vector<platform::NodeId> index_nodes(const sdf::Graph& g) {
-  std::vector<platform::NodeId> nodes(g.actor_count());
-  for (std::size_t a = 0; a < nodes.size(); ++a) {
-    nodes[a] = static_cast<platform::NodeId>(a);
-  }
-  return nodes;
-}
-
-/// A fixed admission workload: probes, admits, a rejection (reason string),
-/// predictions, a removal, re-probes. Returns the full decision transcript.
-std::vector<AdmissionStep> run_admission_script(AdmissionController& ctrl,
-                                                std::span<const sdf::Graph> pool) {
-  std::vector<AdmissionStep> log;
-  const auto probe = [&](const sdf::Graph& g) {
-    const WhatIfReport r = ctrl.what_if_admit(g, index_nodes(g), QoS::no_requirement());
-    log.push_back({r.admissible, r.predicted_period, r.reason, r.peer_periods});
-  };
-
-  for (const sdf::Graph& g : pool) probe(g);
-  const admission::Decision d0 =
-      ctrl.request(pool[0], index_nodes(pool[0]), QoS::no_requirement());
-  log.push_back({d0.admitted, d0.predicted_period, d0.reason, d0.peer_periods});
-  const admission::Decision d1 =
-      ctrl.request(pool[1], index_nodes(pool[1]), QoS::no_requirement());
-  log.push_back({d1.admitted, d1.predicted_period, d1.reason, d1.peer_periods});
-  // Impossible QoS: rejected, with a reason string built from the predicted
-  // period — the identity contract covers the text too.
-  const admission::Decision rej =
-      ctrl.request(pool[2], index_nodes(pool[2]), QoS{1e-9});
-  log.push_back({rej.admitted, rej.predicted_period, rej.reason, rej.peer_periods});
-
-  for (const sdf::Graph& g : pool) probe(g);  // warm re-probes
-  log.push_back({true, ctrl.predicted_period(*d0.handle), "", {}});
-  const WhatIfReport wr = ctrl.what_if_remove(*d0.handle);
-  log.push_back({wr.admissible, wr.predicted_period, wr.reason, wr.peer_periods});
-  ctrl.remove(*d0.handle);
-  for (const sdf::Graph& g : pool) probe(g);
-  return log;
-}
-
-TEST(TranspositionIdentity, AdmissionTranscriptIsIdenticalTableOnOffWarmTiny) {
-  util::Rng rng(606);
-  gen::GeneratorOptions gopts;
-  gopts.min_actors = 3;
-  gopts.max_actors = 5;
-  auto pool = gen::generate_graphs(rng, gopts, 5);
-  pool.push_back(renamed(pool[0], "-twin"));  // name-free sharing candidate
-  const platform::Platform plat = platform::Platform::homogeneous(5);
-
-  AdmissionController off(plat);
-  const auto transcript = run_admission_script(off, pool);
-
-  const auto table = std::make_shared<TranspositionTable>(1 << 12, 4);
-  AdmissionController on(plat, 8, table);
-  EXPECT_EQ(run_admission_script(on, pool), transcript);
-  EXPECT_GT(table->stats().hits, 0u);
-
-  // A second controller on the SAME table starts fully warm — and must
-  // still reproduce the transcript bit for bit.
-  AdmissionController warm(plat, 8, table);
-  const auto hits_before = table->stats().hits;
-  EXPECT_EQ(run_admission_script(warm, pool), transcript);
-  EXPECT_GT(table->stats().hits, hits_before);
-
-  // A pathologically tiny table evicts constantly; only speed may differ.
-  const auto tiny = std::make_shared<TranspositionTable>(8, 1);
-  AdmissionController evicting(plat, 8, tiny);
-  EXPECT_EQ(run_admission_script(evicting, pool), transcript);
-}
-
 // ---- bitwise identity: Workbench --------------------------------------------
 
 /// Flattens every table-backed Workbench query into one comparable record.
@@ -707,7 +615,7 @@ TEST(TranspositionAlloc, WarmLookupAndStoreAreAllocationFree) {
   TranspositionTable table(512, 2);
   // Warm: populate a handful of keys.
   for (std::uint64_t i = 0; i < 16; ++i) {
-    TTKeyBuilder b(i * 0x9E37ULL, TTQuery::AdmissionPeriod);
+    TTKeyBuilder b(i * 0x9E37ULL, TTQuery::MappingScore);
     b.absorb(i);
     b.absorb_double(static_cast<double>(i) * 0.5);
     TTValue v;
@@ -719,7 +627,7 @@ TEST(TranspositionAlloc, WarmLookupAndStoreAreAllocationFree) {
   std::uint64_t hits = 0;
   for (int rep = 0; rep < 100; ++rep) {
     for (std::uint64_t i = 0; i < 16; ++i) {
-      TTKeyBuilder b(i * 0x9E37ULL, TTQuery::AdmissionPeriod);
+      TTKeyBuilder b(i * 0x9E37ULL, TTQuery::MappingScore);
       b.absorb(i);
       b.absorb_double(static_cast<double>(i) * 0.5);
       TTValue v;
@@ -730,39 +638,6 @@ TEST(TranspositionAlloc, WarmLookupAndStoreAreAllocationFree) {
   EXPECT_EQ(allocations() - before, 0u)
       << "warm lookup/store allocated on the hot path";
   EXPECT_EQ(hits, 1600u);
-}
-
-TEST(TranspositionAlloc, WarmAdmissionVerdictProbeStaysAllocationFree) {
-  // The existing steady-state guarantee (verdict-only probe of a cached
-  // candidate: zero allocations) must survive a table in the loop — probe
-  // keys are built on the stack and hits copy into caller storage.
-  util::Rng rng(31);
-  gen::GeneratorOptions gopts;
-  gopts.min_actors = 3;
-  gopts.max_actors = 4;
-  const auto pool = gen::generate_graphs(rng, gopts, 2);
-
-  const auto table = std::make_shared<TranspositionTable>(1 << 10, 2);
-  AdmissionController ctrl(platform::Platform::homogeneous(4), 8, table);
-  const std::vector<platform::NodeId> nodes0 = index_nodes(pool[0]);
-  const std::vector<platform::NodeId> nodes1 = index_nodes(pool[1]);
-  ASSERT_TRUE(ctrl.request(pool[0], nodes0, QoS::no_requirement()).admitted);
-
-  WhatIfOptions verdict_only;
-  verdict_only.with_estimates = false;
-  WhatIfReport out;
-  // Warm-up: sizes scratch, fills the table.
-  ctrl.what_if_admit(pool[1], nodes1, QoS::no_requirement(), out, verdict_only);
-  ASSERT_TRUE(out.admissible);
-
-  for (int rep = 0; rep < 3; ++rep) {
-    const std::uint64_t before = allocations();
-    ctrl.what_if_admit(pool[1], nodes1, QoS::no_requirement(), out, verdict_only);
-    EXPECT_EQ(allocations() - before, 0u)
-        << "warm table-backed verdict probe allocated (rep " << rep << ")";
-  }
-  EXPECT_TRUE(out.admissible);
-  EXPECT_GT(table->stats().hits, 0u);
 }
 
 }  // namespace
